@@ -1,11 +1,7 @@
 //! EXP-V1 — scalar vs blocked pipeline micro-costs: the galloping
 //! block merge against the seed's id-at-a-time merge, and the
 //! cache-line-blocked Bloom filter against the classic bit array, at
-//! 10^4–10^6 ids.
-//!
-//! The `bench_vectorized` binary measures the same payloads
-//! (`ghostdb_bench::vectorized`) and records the speedups in
-//! `BENCH_PR1.json`.
+//! 10^4–10^6 ids (payloads in `ghostdb_bench::vectorized`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ghostdb_bench::vectorized::{

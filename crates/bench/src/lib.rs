@@ -9,8 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gates;
-
 use std::io::Write as _;
 use std::path::Path;
 
@@ -38,17 +36,6 @@ pub fn medical_fixture_with(prescriptions: usize, config: DeviceConfig) -> Resul
     let data = generate_medical(&cfg)?;
     let db = GhostDb::create(MEDICAL_DDL, config, &data)?;
     Ok(Fixture { db, cfg })
-}
-
-/// The dataset alongside the db (baseline experiments need raw ids).
-pub fn medical_fixture_with_data(
-    prescriptions: usize,
-    config: DeviceConfig,
-) -> Result<(Fixture, ghostdb_storage::Dataset)> {
-    let cfg = MedicalConfig::scaled(prescriptions);
-    let data = generate_medical(&cfg)?;
-    let db = GhostDb::create(MEDICAL_DDL, config, &data)?;
-    Ok((Fixture { db, cfg }, data))
 }
 
 impl Fixture {
@@ -106,48 +93,6 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<(
     Ok(())
 }
 
-pub mod latency {
-    //! Latency helpers shared by the `bench_*` runners (previously
-    //! copy-pasted per binary).
-
-    use ghostdb_core::GhostDb;
-    use ghostdb_types::Result;
-
-    /// Minimum simulated latency of `sql` over `runs` executions — the
-    /// stable "how fast can this query go right now" probe the insert,
-    /// mutation, and observability runners all use.
-    pub fn min_query_ns(db: &GhostDb, sql: &str, runs: usize) -> Result<u64> {
-        let mut best = u64::MAX;
-        for _ in 0..runs.max(1) {
-            best = best.min(db.query(sql)?.report.total_ns);
-        }
-        Ok(best)
-    }
-
-    /// The `p`-th percentile (`0.0..=1.0`) of `samples`, nearest-rank on
-    /// the sorted values (the index truncates, matching the concurrency
-    /// runner's original closure). Sorts in place.
-    pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
-        assert!(!samples.is_empty(), "percentile of an empty sample set");
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
-        samples[((samples.len() - 1) as f64 * p.clamp(0.0, 1.0)) as usize]
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::percentile;
-
-        #[test]
-        fn percentile_matches_nearest_rank() {
-            let mut s = vec![4.0, 1.0, 3.0, 2.0];
-            assert_eq!(percentile(&mut s, 0.0), 1.0);
-            assert_eq!(percentile(&mut s, 0.5), 2.0); // (4-1)*0.5 = 1.5 → idx 1
-            assert_eq!(percentile(&mut s, 0.99), 3.0);
-            assert_eq!(percentile(&mut s, 1.0), 4.0);
-        }
-    }
-}
-
 /// A unicode bar for quick terminal charts (Figure 6 style).
 pub fn bar(value: f64, max: f64, width: usize) -> String {
     let w = if max <= 0.0 {
@@ -159,11 +104,8 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
 }
 
 pub mod vectorized {
-    //! Shared payloads for the scalar-vs-blocked pipeline benchmarks
-    //! (`benches/vectorized.rs` and the `bench_vectorized` runner that
-    //! records the perf trajectory in `BENCH_PR1.json`). Both measure
-    //! exactly these functions, so the JSON numbers and the criterion
-    //! output can be cross-checked.
+    //! Payloads for the scalar-vs-blocked pipeline benchmark
+    //! (`benches/vectorized.rs`).
 
     use ghostdb_bloom::{BlockedBloomFilter, BloomFilter};
     use ghostdb_exec::{MergeIntersect, ScalarMergeIntersect};

@@ -13,7 +13,9 @@
 //! through the secure display. The facade exposes the demo's three
 //! phases: run queries (`query`), inspect and hand-build plans
 //! (`plans`, `query_with_plan`, `explain`), and audit the spy's view
-//! (`spy_report`, `spy_sees_value`).
+//! (`spy_report`, `spy_sees_value`). Every read method lives once, on
+//! [`ReadState`], which both [`GhostDb`] (the writer) and [`Snapshot`]
+//! (a concurrent read session) deref to.
 //!
 //! # Mutability: the post-load write path (full DML)
 //!
@@ -68,36 +70,35 @@
 
 mod flight;
 mod link;
+mod read;
 mod session;
 
-use flight::{build_statement_trace, CoreMetrics, StageClock};
+use flight::CoreMetrics;
 pub use link::BusPcLink;
+pub use read::ReadState;
 pub use session::{SessionRegistry, Snapshot};
+use std::ops::Deref;
 use std::sync::Arc;
 
-use ghostdb_bus::{Bus, BusMetrics, BusTrace, Endpoint, Message};
+use ghostdb_bus::{Bus, BusMetrics};
 use ghostdb_catalog::{
-    ColumnRef, ColumnRole, ColumnStats, Histogram, Predicate, Schema, SchemaStats, TreeSchema,
+    ColumnRef, ColumnRole, ColumnStats, Histogram, Predicate, Schema, TreeSchema,
 };
-use ghostdb_exec::{
-    attach_actuals, execute, plan_nodes, render_plan, CostModel, CostedPlan, ExecContext,
-    ExecReport, Optimizer, PipelineMode, Plan, PlanNode, QuerySpec, ResultSet,
-};
+use ghostdb_exec::{execute, ExecReport, PipelineMode, QuerySpec, ResultSet};
 use ghostdb_flash::{Nand, Volume, VolumeMetrics};
 use ghostdb_index::IndexSet;
-use ghostdb_obs::{MetricsSnapshot, Registry, Span, TraceRecorder};
+use ghostdb_obs::{MetricsSnapshot, Registry, TraceRecorder};
 use ghostdb_persist::{DeviceImage, Wal};
 use ghostdb_ram::{RamBudget, RamScope};
 use std::collections::HashMap;
 
 use ghostdb_sql::{
-    bind_delete, bind_insert, bind_schema, bind_select, bind_update, parse_statements, DeleteStmt,
-    InsertStmt, Statement, UpdateStmt,
+    bind_delete, bind_insert, bind_schema, bind_update, parse_statements, DeleteStmt, InsertStmt,
+    Statement, UpdateStmt,
 };
 use ghostdb_storage::{split_dataset, validate_row, Dataset, HiddenStore, STATS_BUCKETS};
 use ghostdb_types::{
-    format_ns, ColumnId, DataType, DeviceConfig, GhostError, Result, RowId, Sealed, SimClock,
-    TableId, Value, Wire,
+    ColumnId, DataType, DeviceConfig, GhostError, Result, RowId, SimClock, TableId, Value, Wire,
 };
 
 /// Summary of the secure bulk load.
@@ -123,34 +124,24 @@ pub struct QueryOutcome {
     pub report: ExecReport,
 }
 
-/// Summary of one applied `INSERT`.
-#[derive(Debug, Clone)]
-pub struct InsertReport {
-    /// Table that received the rows.
-    pub table: TableId,
-    /// Rows appended.
-    pub rows: u64,
-    /// Whether this statement tripped the automatic delta flush.
-    pub flushed: bool,
-    /// Simulated time spent (validation, flash/bus appends, and the
-    /// flush if one ran).
-    pub sim_ns: u64,
-}
-
-/// Summary of one applied `DELETE` or `UPDATE`.
+/// Summary of one applied `INSERT`, `DELETE` or `UPDATE`.
 #[derive(Debug, Clone)]
 pub struct MutationReport {
     /// Table that was mutated.
     pub table: TableId,
-    /// Rows deleted / updated (the `WHERE` clause's match count).
+    /// Rows appended / deleted / updated (for the latter two, the
+    /// `WHERE` clause's match count).
     pub rows: u64,
     /// Whether this statement tripped the automatic delta flush (which
     /// physically compacts the tombstoned rows away).
     pub flushed: bool,
-    /// Simulated time spent (filter evaluation, bus frames, WAL append,
-    /// and the flush if one ran).
+    /// Simulated time spent (validation, filter evaluation, flash/bus
+    /// appends, WAL append, and the flush if one ran).
     pub sim_ns: u64,
 }
+
+/// Summary of one applied `INSERT`.
+pub type InsertReport = MutationReport;
 
 /// Outcome of one statement run through [`GhostDb::execute`].
 #[derive(Debug)]
@@ -197,7 +188,7 @@ struct DurableState {
     l2p_entries: usize,
 }
 
-/// How a batch reaches [`GhostDb::apply_batch`].
+/// How a batch reaches [`GhostDb::apply`].
 #[derive(Clone, Copy, PartialEq)]
 enum BatchOrigin {
     /// A live insert: WAL it first, honor the auto-flush threshold.
@@ -207,20 +198,11 @@ enum BatchOrigin {
     Replay,
 }
 
-/// A loaded GhostDB instance (PC + device + display).
+/// A loaded GhostDB instance (PC + device + display): the live
+/// [`ReadState`] — every read method comes from it through `Deref` —
+/// plus the writer's bookkeeping.
 pub struct GhostDb {
-    /// Immutable after load; `Arc`ed so snapshots share them for free.
-    schema: Arc<Schema>,
-    tree: Arc<TreeSchema>,
-    config: Arc<DeviceConfig>,
-    clock: SimClock,
-    bus: Bus,
-    volume: Volume,
-    ram: RamBudget,
-    hidden: HiddenStore,
-    indexes: IndexSet,
-    stats: SchemaStats,
-    pc_link: BusPcLink,
+    read: ReadState,
     /// `Some` once the instance has sealed (or was mounted): inserts are
     /// write-ahead logged and delta flushes re-seal.
     durable: Option<DurableState>,
@@ -231,12 +213,16 @@ pub struct GhostDb {
     /// Open snapshot sessions (for `device_report()` and leak checks).
     sessions: Arc<SessionRegistry>,
     /// Engine-wide metrics registry; the bus, the flash volume and the
-    /// core all register into it, snapshots share it by clone.
+    /// core all register into it.
     registry: Registry,
-    /// The flight recorder holding the last completed statement trace.
-    recorder: TraceRecorder,
-    /// Core-owned metric handles (statement latencies, pauses, gauges).
-    metrics: Arc<CoreMetrics>,
+}
+
+impl Deref for GhostDb {
+    type Target = ReadState;
+
+    fn deref(&self) -> &ReadState {
+        &self.read
+    }
 }
 
 /// Effective page-cache capacity for a device configuration: the
@@ -300,23 +286,25 @@ impl GhostDb {
         let indexes = IndexSet::build(&volume, &load_scope, &schema, &tree, data, &encoders)?;
         let pc_link = BusPcLink::new(bus.clone(), visible);
         Ok(GhostDb {
-            schema: Arc::new(schema),
-            tree: Arc::new(tree),
-            config: Arc::new(config),
-            clock,
-            bus,
-            volume,
-            ram,
-            hidden,
-            indexes,
-            stats,
-            pc_link,
+            read: ReadState {
+                schema: Arc::new(schema),
+                tree: Arc::new(tree),
+                config: Arc::new(config),
+                clock,
+                bus,
+                volume,
+                ram,
+                hidden,
+                indexes,
+                stats,
+                pc_link,
+                recorder: TraceRecorder::new(),
+                metrics,
+            },
             durable: None,
             epoch: 0,
             sessions: SessionRegistry::new(),
             registry,
-            recorder: TraceRecorder::new(),
-            metrics,
         })
     }
 
@@ -373,40 +361,32 @@ impl GhostDb {
         volume.configure_page_cache(page_cache_budget(&config), &ram)?;
         let pc_link = BusPcLink::new(bus.clone(), visible);
         let mut db = GhostDb {
-            schema: Arc::new(schema),
-            tree: Arc::new(tree),
-            config: Arc::new(config),
-            clock,
-            bus,
-            volume,
-            ram,
-            hidden,
-            indexes,
-            stats,
-            pc_link,
+            read: ReadState {
+                schema: Arc::new(schema),
+                tree: Arc::new(tree),
+                config: Arc::new(config),
+                clock,
+                bus,
+                volume,
+                ram,
+                hidden,
+                indexes,
+                stats,
+                pc_link,
+                recorder: TraceRecorder::new(),
+                metrics,
+            },
             durable: None,
             epoch: 0,
             sessions: SessionRegistry::new(),
             registry,
-            recorder: TraceRecorder::new(),
-            metrics,
         };
         // Replay the WAL: every fully-committed post-seal batch, in
         // order, through the normal apply path (validation included) —
         // but never re-logged, and without tripping the auto-flush.
         let opened = Wal::open(nand, loaded.epoch)?;
         for rec in &opened.records {
-            match decode_wal_record(rec)? {
-                WalRecord::Insert(table, rows) => {
-                    db.apply_batch(table, rows, BatchOrigin::Replay)?;
-                }
-                WalRecord::Delete(table, rows) => {
-                    db.apply_delete_batch(table, rows, BatchOrigin::Replay)?;
-                }
-                WalRecord::Update(table, rows, assignments) => {
-                    db.apply_update_batch(table, rows, assignments, BatchOrigin::Replay)?;
-                }
-            }
+            db.apply(Mutation::decode(rec)?, BatchOrigin::Replay)?;
         }
         db.durable = Some(DurableState {
             epoch: loaded.epoch,
@@ -424,66 +404,6 @@ impl GhostDb {
             db.seal()?;
         }
         Ok(db)
-    }
-
-    /// The bound schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Tree analysis of the schema.
-    pub fn tree(&self) -> &TreeSchema {
-        &self.tree
-    }
-
-    /// Catalog statistics collected at load time.
-    pub fn stats(&self) -> &SchemaStats {
-        &self.stats
-    }
-
-    /// The hardware configuration.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.config
-    }
-
-    /// The shared simulated clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// The device's flash volume (for space/stat reports).
-    pub fn volume(&self) -> &Volume {
-        &self.volume
-    }
-
-    /// The device RAM budget.
-    pub fn ram(&self) -> &RamBudget {
-        &self.ram
-    }
-
-    /// The device's index set.
-    pub fn indexes(&self) -> &IndexSet {
-        &self.indexes
-    }
-
-    /// The spy-visible bus trace.
-    pub fn trace(&self) -> &BusTrace {
-        self.bus.trace()
-    }
-
-    /// Forget the trace (between experiment phases).
-    pub fn clear_trace(&self) {
-        self.bus.trace().clear();
-    }
-
-    /// Demo phase 1: the pirate's view of the last transfers.
-    pub fn spy_report(&self) -> String {
-        self.bus.trace().spy_report()
-    }
-
-    /// Would a spy have seen this value on the PC ↔ device link?
-    pub fn spy_sees_value(&self, v: &Value) -> bool {
-        self.bus.trace().spy_sees_value(v)
     }
 
     /// Run a statement script post-load: `INSERT`s mutate the database
@@ -565,8 +485,7 @@ impl GhostDb {
             predicates.to_vec(),
             vec![],
         )?;
-        let opt = Optimizer::new(&self.schema, &self.tree, &self.stats, &self.config);
-        let plan = opt.best(&spec, |c| self.indexes.has_value_index(c))?;
+        let plan = self.best_plan(&spec)?;
         let ctx = self.exec_context(PipelineMode::Blocked);
         let (rows, _report) = execute(&ctx, &spec, &plan)?;
         rows.rows
@@ -579,6 +498,17 @@ impl GhostDb {
             .collect()
     }
 
+    /// Programmatic insert path (also the backend of
+    /// [`execute`](Self::execute)): validate and append `rows` (full
+    /// rows in declaration order, dense primary key first) to `table`,
+    /// maintaining the hidden store, the PC's visible store, every
+    /// index, and the catalog statistics. Trips the automatic delta
+    /// flush when the combined delta reaches
+    /// [`DeviceConfig::delta_flush_rows`].
+    pub fn insert_rows(&mut self, table: TableId, rows: Vec<Vec<Value>>) -> Result<InsertReport> {
+        self.apply(Mutation::Insert(table, rows), BatchOrigin::Live)
+    }
+
     /// Programmatic delete path (also the backend of
     /// [`execute`](Self::execute)): tombstone the rows with the given
     /// **logical** ids (current dense primary keys) in `table`.
@@ -587,37 +517,196 @@ impl GhostDb {
     /// Queries stop seeing the rows immediately; their flash bytes are
     /// reclaimed by the next delta flush, which compacts them away.
     pub fn delete_rows(&mut self, table: TableId, rows: Vec<RowId>) -> Result<MutationReport> {
-        self.apply_delete_batch(table, rows, BatchOrigin::Live)
+        self.apply(Mutation::Delete(table, rows), BatchOrigin::Live)
     }
 
-    fn apply_delete_batch(
+    /// Programmatic update path (also the backend of
+    /// [`execute`](Self::execute)): overwrite `assignments` on the rows
+    /// with the given **logical** ids. Only attribute columns are
+    /// updatable (primary keys are row identity; foreign keys are the
+    /// precomputed join skeleton). Hidden rewrites stay on the device;
+    /// visible rewrites cross the bus as `UpdateVisible` frames.
+    pub fn update_rows(
         &mut self,
         table: TableId,
         rows: Vec<RowId>,
-        origin: BatchOrigin,
+        assignments: Vec<(ColumnId, Value)>,
     ) -> Result<MutationReport> {
+        self.apply(
+            Mutation::Update(table, rows, assignments),
+            BatchOrigin::Live,
+        )
+    }
+
+    /// The one commit path of every mutation batch, live or replayed.
+    /// Prologue: normalize and validate the WHOLE batch before any
+    /// state moves, so a bad statement is atomic — either every row
+    /// lands or none does — then reserve WAL space. Epilogue: log the
+    /// record, bump the epoch, honor the auto-flush threshold, observe
+    /// the latency, report.
+    ///
+    /// Durable instances log the batch to the flash WAL in the same
+    /// operation that applies it: space is checked up front (a full
+    /// log forces a delta flush, which re-seals and truncates), the
+    /// record is programmed right after the apply, and only then does
+    /// the call return Ok — so the WAL replays exactly the batches the
+    /// caller saw commit, whole (records are CRC-framed; a torn tail
+    /// drops the interrupted batch) or not at all. The logged rows and
+    /// ids are the caller's *logical* ones: they survive the forced
+    /// flush (which only makes physical ids dense again), and replay
+    /// re-runs the same translation against an identically-evolved
+    /// state.
+    fn apply(&mut self, mut batch: Mutation, origin: BatchOrigin) -> Result<MutationReport> {
         let t0 = self.clock.now();
-        let mut logical = rows;
-        logical.sort_unstable();
-        logical.dedup();
-        if logical.is_empty() {
-            return Ok(MutationReport {
-                table,
-                rows: 0,
-                flushed: false,
-                sim_ns: 0,
-            });
+        let (table, rows) = match &mut batch {
+            Mutation::Insert(table, rows) => {
+                self.validate_insert(*table, rows)?;
+                (*table, rows.len())
+            }
+            Mutation::Delete(table, ids) => (*table, self.live_targets("delete", *table, ids)?),
+            Mutation::Update(table, ids, assignments) => {
+                self.validate_assignments(*table, assignments)?;
+                // No assignments: nothing to write — a no-op, not an error.
+                let targets = if assignments.is_empty() {
+                    0
+                } else {
+                    self.live_targets("update", *table, ids)?
+                };
+                (*table, targets)
+            }
+        };
+        let mut report = MutationReport {
+            table,
+            rows: rows as u64,
+            flushed: false,
+            sim_ns: 0,
+        };
+        if rows == 0 {
+            return Ok(report);
         }
+        let record = self.wal_reserve(origin, &batch)?;
+        match &batch {
+            Mutation::Insert(_, rows) => self.insert_batch(table, rows)?,
+            Mutation::Delete(_, ids) => self.delete_batch(table, ids)?,
+            Mutation::Update(_, ids, assignments) => self.update_batch(table, ids, assignments)?,
+        }
+        self.wal_commit(record)?;
+        self.epoch += 1;
+        if origin == BatchOrigin::Live && self.over_flush_threshold() {
+            self.flush_deltas()?;
+            report.flushed = true;
+        }
+        report.sim_ns = self.clock.now().since(t0);
+        batch.latency(&self.metrics).observe(report.sim_ns);
+        Ok(report)
+    }
+
+    /// Sort and dedup a delete/update's logical row ids in place and
+    /// check each addresses a live row; returns how many remain.
+    fn live_targets(&self, verb: &str, table: TableId, ids: &mut Vec<RowId>) -> Result<usize> {
+        ids.sort_unstable();
+        ids.dedup();
         let live = self.hidden.live_count(table);
-        if let Some(bad) = logical.iter().find(|r| r.0 >= live) {
+        if let Some(bad) = ids.iter().find(|r| r.0 >= live) {
             return Err(GhostError::exec(format!(
-                "delete of {} row {bad}: only {live} live row(s)",
+                "{verb} of {} row {bad}: only {live} live row(s)",
                 self.schema.table(table).name
             )));
         }
-        // WAL space first (logical ids survive the forced flush a full
-        // log triggers — a flush only makes physical ids dense again).
-        let record = self.wal_reserve(origin, || encode_delete_record(table, &logical))?;
+        Ok(ids.len())
+    }
+
+    /// The user speaks the *logical* id space: row k's dense primary
+    /// key must be live count + k, and foreign keys address live rows.
+    /// (Identity with the physical space until rows die.)
+    fn validate_insert(&self, table: TableId, rows: &[Vec<Value>]) -> Result<()> {
+        let start = self.hidden.live_count(table) as u64;
+        let row_count_of = |t: TableId| self.hidden.live_count(t) as u64;
+        for (k, values) in rows.iter().enumerate() {
+            validate_row(&self.schema, table, start + k as u64, values, &row_count_of)?;
+        }
+        Ok(())
+    }
+
+    fn validate_assignments(
+        &self,
+        table: TableId,
+        assignments: &[(ColumnId, Value)],
+    ) -> Result<()> {
+        let tdef = self.schema.table(table);
+        for (c, v) in assignments {
+            let cdef = tdef
+                .columns
+                .get(c.index())
+                .ok_or_else(|| GhostError::catalog(format!("no column {c} in {}", tdef.name)))?;
+            if cdef.role != ColumnRole::Attribute {
+                return Err(GhostError::unsupported(format!(
+                    "UPDATE of key column {}.{}",
+                    tdef.name, cdef.name
+                )));
+            }
+            if !cdef.ty.admits(v) {
+                return Err(GhostError::catalog(format!(
+                    "update value {v} does not conform to {} of {}.{}",
+                    cdef.ty, tdef.name, cdef.name
+                )));
+            }
+            if let (DataType::Char(cap), Value::Text(s)) = (cdef.ty, v) {
+                if s.len() > cap as usize {
+                    return Err(GhostError::catalog(format!(
+                        "update value exceeds CHAR({cap}) of {}.{}",
+                        tdef.name, cdef.name
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn insert_batch(&mut self, table: TableId, rows: &[Vec<Value>]) -> Result<()> {
+        let scope = RamScope::new(&self.ram);
+        for values in rows {
+            let new_id = RowId(self.hidden.row_count(table));
+            // Everything *stored* — flash keys, postings, SKT rows, the
+            // PC's columns — speaks physical ids; rewrite the row's PK
+            // and FK values from the logical space the user wrote.
+            let values = &self.physical_row(table, new_id, values)?;
+            // Resolve the new row's joins down the subtree before any
+            // mutation (reads may touch the SKTs' base + delta).
+            let wide = self.wide_row_for(table, new_id, values, &scope)?;
+            let read = &mut self.read;
+            // Hidden half → device flash delta (never the bus).
+            let new_value_cols = read.hidden.append_row(&read.schema, table, values)?;
+            // Visible half → the PC, over the (spied) bus.
+            let visible: Vec<(ColumnId, Value)> = read
+                .schema
+                .table(table)
+                .columns
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| !c.visibility.is_hidden())
+                .map(|(ci, _)| (ColumnId(ci as u16), values[ci].clone()))
+                .collect();
+            read.pc_link.append_row(table, new_id, visible)?;
+            // Index maintenance at every affected level.
+            read.indexes.apply_insert(
+                &read.tree,
+                &scope,
+                &read.hidden,
+                ghostdb_index::RowInsert {
+                    table,
+                    id: new_id,
+                    values,
+                },
+                &wide,
+            )?;
+            // Planner sees base + delta cardinalities immediately.
+            read.stats.absorb_row(table, &new_value_cols);
+        }
+        Ok(())
+    }
+
+    fn delete_batch(&mut self, table: TableId, logical: &[RowId]) -> Result<()> {
         // Resolve to physical ids and enforce RESTRICT: none of the dying
         // rows may be referenced by a live row of the referencing table.
         let phys: Vec<u32> = logical
@@ -628,25 +717,12 @@ impl GhostDb {
         // Tombstone on the device; announce the row identities to the PC
         // (ids only — which hidden values died stays hidden); shrink the
         // planner's live-cardinality estimates.
-        self.hidden.delete_rows_physical(table, &phys)?;
-        self.pc_link
+        let read = &mut self.read;
+        read.hidden.delete_rows_physical(table, &phys)?;
+        read.pc_link
             .delete_rows(table, phys.iter().map(|&p| RowId(p)).collect())?;
-        self.stats.retire_rows(table, phys.len() as u64);
-        self.wal_commit(record)?;
-        self.epoch += 1;
-        let mut flushed = false;
-        if origin == BatchOrigin::Live && self.over_flush_threshold() {
-            self.flush_deltas()?;
-            flushed = true;
-        }
-        let sim_ns = self.clock.now().since(t0);
-        self.metrics.delete_latency.observe(sim_ns);
-        Ok(MutationReport {
-            table,
-            rows: logical.len() as u64,
-            flushed,
-            sim_ns,
-        })
+        read.stats.retire_rows(table, phys.len() as u64);
+        Ok(())
     }
 
     /// No live row of the referencing (tree-parent) table may point at
@@ -679,278 +755,81 @@ impl GhostDb {
         Ok(())
     }
 
-    /// Programmatic update path (also the backend of
-    /// [`execute`](Self::execute)): overwrite `assignments` on the rows
-    /// with the given **logical** ids. Only attribute columns are
-    /// updatable (primary keys are row identity; foreign keys are the
-    /// precomputed join skeleton). Hidden rewrites stay on the device;
-    /// visible rewrites cross the bus as `UpdateVisible` frames.
-    pub fn update_rows(
+    fn update_batch(
         &mut self,
         table: TableId,
-        rows: Vec<RowId>,
-        assignments: Vec<(ColumnId, Value)>,
-    ) -> Result<MutationReport> {
-        self.apply_update_batch(table, rows, assignments, BatchOrigin::Live)
-    }
-
-    fn apply_update_batch(
-        &mut self,
-        table: TableId,
-        rows: Vec<RowId>,
-        assignments: Vec<(ColumnId, Value)>,
-        origin: BatchOrigin,
-    ) -> Result<MutationReport> {
-        let t0 = self.clock.now();
-        let mut logical = rows;
-        logical.sort_unstable();
-        logical.dedup();
-        // Validate everything before any state moves (statement
-        // atomicity, like inserts).
-        let tdef = self.schema.table(table);
-        for (c, v) in &assignments {
-            let cdef = tdef
-                .columns
-                .get(c.index())
-                .ok_or_else(|| GhostError::catalog(format!("no column {c} in {}", tdef.name)))?;
-            if cdef.role != ColumnRole::Attribute {
-                return Err(GhostError::unsupported(format!(
-                    "UPDATE of key column {}.{}",
-                    tdef.name, cdef.name
-                )));
-            }
-            if !cdef.ty.admits(v) {
-                return Err(GhostError::catalog(format!(
-                    "update value {v} does not conform to {} of {}.{}",
-                    cdef.ty, tdef.name, cdef.name
-                )));
-            }
-            if let (DataType::Char(cap), Value::Text(s)) = (cdef.ty, v) {
-                if s.len() > cap as usize {
-                    return Err(GhostError::catalog(format!(
-                        "update value exceeds CHAR({cap}) of {}.{}",
-                        tdef.name, cdef.name
-                    )));
-                }
-            }
-        }
-        if logical.is_empty() || assignments.is_empty() {
-            return Ok(MutationReport {
-                table,
-                rows: 0,
-                flushed: false,
-                sim_ns: 0,
-            });
-        }
-        let live = self.hidden.live_count(table);
-        if let Some(bad) = logical.iter().find(|r| r.0 >= live) {
-            return Err(GhostError::exec(format!(
-                "update of {} row {bad}: only {live} live row(s)",
-                self.schema.table(table).name
-            )));
-        }
-        let record = self.wal_reserve(origin, || {
-            encode_update_record(table, &logical, &assignments)
-        })?;
+        logical: &[RowId],
+        assignments: &[(ColumnId, Value)],
+    ) -> Result<()> {
         let phys: Vec<u32> = logical
             .iter()
             .map(|r| self.hidden.select_live(table, r.0).map(|p| p.0))
             .collect::<Result<_>>()?;
-        let scope = RamScope::new(&self.ram);
+        let read = &mut self.read;
+        let scope = RamScope::new(&read.ram);
         for &p in &phys {
             let row = RowId(p);
             let mut visible: Vec<(ColumnId, Value)> = Vec::new();
-            for (c, v) in &assignments {
-                if self.schema.table(table).columns[c.index()]
+            for (c, v) in assignments {
+                if read.schema.table(table).columns[c.index()]
                     .visibility
                     .is_hidden()
                 {
-                    let old = self.hidden.value(&scope, table, *c, row)?;
+                    let old = read.hidden.value(&scope, table, *c, row)?;
                     if &old == v {
                         continue; // no-op rewrite: skip index churn
                     }
                     // Overlay first (the delta dictionary must know a
                     // fresh string before the index re-posts under it).
-                    let minted = self.hidden.update_cell(table, *c, row, v)?;
-                    self.indexes.apply_update(&scope, table, *c, row, &old, v)?;
+                    let minted = read.hidden.update_cell(table, *c, row, v)?;
+                    read.indexes.apply_update(&scope, table, *c, row, &old, v)?;
                     if minted {
-                        self.stats.absorb_update(table, &[c.0]);
+                        read.stats.absorb_update(table, &[c.0]);
                     }
                 } else {
                     visible.push((*c, v.clone()));
                 }
             }
             if !visible.is_empty() {
-                self.pc_link.update_row(table, row, visible)?;
+                read.pc_link.update_row(table, row, visible)?;
             }
         }
-        self.wal_commit(record)?;
-        self.epoch += 1;
-        let mut flushed = false;
-        if origin == BatchOrigin::Live && self.over_flush_threshold() {
-            self.flush_deltas()?;
-            flushed = true;
-        }
-        let sim_ns = self.clock.now().since(t0);
-        self.metrics.update_latency.observe(sim_ns);
-        Ok(MutationReport {
-            table,
-            rows: logical.len() as u64,
-            flushed,
-            sim_ns,
-        })
+        Ok(())
     }
 
     /// The durable half of a mutation's prologue: encode the WAL record
     /// and make room for it (a full log forces a flush, which re-seals
     /// and truncates). Returns `None` for volatile instances and WAL
     /// replay.
-    fn wal_reserve(
-        &mut self,
-        origin: BatchOrigin,
-        encode: impl FnOnce() -> Vec<u8>,
-    ) -> Result<Option<Vec<u8>>> {
-        if origin != BatchOrigin::Live || self.durable.is_none() {
+    fn wal_reserve(&mut self, origin: BatchOrigin, batch: &Mutation) -> Result<Option<Vec<u8>>> {
+        let Some(d) = &self.durable else {
+            return Ok(None);
+        };
+        if origin != BatchOrigin::Live {
             return Ok(None);
         }
-        let record = encode();
-        let fits = self
-            .durable
-            .as_ref()
-            .expect("checked above")
-            .wal
-            .fits(record.len());
-        if !fits {
-            self.flush_deltas()?;
-            let wal = &self.durable.as_ref().expect("still durable").wal;
-            if !wal.fits(record.len()) {
-                return Err(GhostError::flash(format!(
-                    "mutation batch ({} B) exceeds the WAL region; raise \
-                     FlashConfig::wal_blocks or split the batch",
-                    record.len()
-                )));
-            }
+        let record = batch.encode();
+        if d.wal.fits(record.len()) {
+            return Ok(Some(record));
         }
-        Ok(Some(record))
+        self.flush_deltas()?;
+        match &self.durable {
+            Some(d) if d.wal.fits(record.len()) => Ok(Some(record)),
+            _ => Err(GhostError::flash(format!(
+                "mutation batch ({} B) exceeds the WAL region; raise \
+                 FlashConfig::wal_blocks or split the batch",
+                record.len()
+            ))),
+        }
     }
 
     /// Append a reserved WAL record after the batch applied.
     fn wal_commit(&mut self, record: Option<Vec<u8>>) -> Result<()> {
-        if let Some(record) = &record {
-            self.durable
-                .as_mut()
-                .expect("durable when a record was reserved")
-                .wal
-                .append(record)?;
-            self.metrics.wal_appends.inc();
+        if let (Some(record), Some(d)) = (&record, &mut self.durable) {
+            d.wal.append(record)?;
+            self.read.metrics.wal_appends.inc();
         }
         Ok(())
-    }
-
-    /// Programmatic insert path (also the backend of
-    /// [`execute`](Self::execute)): validate and append `rows` (full
-    /// rows in declaration order, dense primary key first) to `table`,
-    /// maintaining the hidden store, the PC's visible store, every
-    /// index, and the catalog statistics. Trips the automatic delta
-    /// flush when the combined delta reaches
-    /// [`DeviceConfig::delta_flush_rows`].
-    pub fn insert_rows(&mut self, table: TableId, rows: Vec<Vec<Value>>) -> Result<InsertReport> {
-        self.apply_batch(table, rows, BatchOrigin::Live)
-    }
-
-    /// The shared batch-apply path behind [`insert_rows`](Self::insert_rows)
-    /// and the mount-time WAL replay.
-    fn apply_batch(
-        &mut self,
-        table: TableId,
-        rows: Vec<Vec<Value>>,
-        origin: BatchOrigin,
-    ) -> Result<InsertReport> {
-        let t0 = self.clock.now();
-        if rows.is_empty() {
-            return Ok(InsertReport {
-                table,
-                rows: 0,
-                flushed: false,
-                sim_ns: 0,
-            });
-        }
-        let scope = RamScope::new(&self.ram);
-        // Validate the WHOLE batch before applying any row, so a bad
-        // statement is atomic: either every row lands or none does.
-        // The user speaks the *logical* id space: row k's dense primary
-        // key must be live count + k, and foreign keys address live
-        // rows. (Identity with the physical space until rows die.)
-        {
-            let start = self.hidden.live_count(table) as u64;
-            let hidden = &self.hidden;
-            let row_count_of = |t: TableId| hidden.live_count(t) as u64;
-            for (k, values) in rows.iter().enumerate() {
-                validate_row(&self.schema, table, start + k as u64, values, &row_count_of)?;
-            }
-        }
-        // Durable instances log the batch to the flash WAL in the same
-        // operation that applies it: space is checked up front (a full
-        // log forces a delta flush, which re-seals and truncates), the
-        // record is programmed right after the apply loop, and only
-        // then does the call return Ok — so the WAL replays exactly the
-        // batches the caller saw commit, whole (records are CRC-framed;
-        // a torn tail drops the interrupted batch) or not at all. The
-        // logged rows are the caller's *logical* rows: replay re-runs
-        // the same translation against an identically-evolved state.
-        let record = self.wal_reserve(origin, || encode_insert_record(table, &rows))?;
-        for values in &rows {
-            let new_id = RowId(self.hidden.row_count(table));
-            // Everything *stored* — flash keys, postings, SKT rows, the
-            // PC's columns — speaks physical ids; rewrite the row's PK
-            // and FK values from the logical space the user wrote.
-            let values = &self.physical_row(table, new_id, values)?;
-            // Resolve the new row's joins down the subtree before any
-            // mutation (reads may touch the SKTs' base + delta).
-            let wide = self.wide_row_for(table, new_id, values, &scope)?;
-            // Hidden half → device flash delta (never the bus).
-            let new_value_cols = self.hidden.append_row(&self.schema, table, values)?;
-            // Visible half → the PC, over the (spied) bus.
-            let visible: Vec<(ColumnId, Value)> = self
-                .schema
-                .table(table)
-                .columns
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !c.visibility.is_hidden())
-                .map(|(ci, _)| (ColumnId(ci as u16), values[ci].clone()))
-                .collect();
-            self.pc_link.append_row(table, new_id, visible)?;
-            // Index maintenance at every affected level.
-            self.indexes.apply_insert(
-                &self.tree,
-                &scope,
-                &self.hidden,
-                ghostdb_index::RowInsert {
-                    table,
-                    id: new_id,
-                    values,
-                },
-                &wide,
-            )?;
-            // Planner sees base + delta cardinalities immediately.
-            self.stats.absorb_row(table, &new_value_cols);
-        }
-        self.wal_commit(record)?;
-        self.epoch += 1;
-        let mut flushed = false;
-        if origin == BatchOrigin::Live && self.over_flush_threshold() {
-            self.flush_deltas()?;
-            flushed = true;
-        }
-        let sim_ns = self.clock.now().since(t0);
-        self.metrics.insert_latency.observe(sim_ns);
-        Ok(InsertReport {
-            table,
-            rows: rows.len() as u64,
-            flushed,
-            sim_ns,
-        })
     }
 
     /// Has the combined un-flushed mutation count — appended rows,
@@ -1062,13 +941,14 @@ impl GhostDb {
         if self.hidden.total_pending_mutations() == 0 && self.indexes.delta_entries() == 0 {
             return Ok(None);
         }
-        let scope = RamScope::new(&self.ram);
-        let remaps = self.hidden.flush(&scope, &self.schema)?;
-        self.indexes.flush(&scope, &self.hidden, &remaps)?;
+        let read = &mut self.read;
+        let scope = RamScope::new(&read.ram);
+        let remaps = read.hidden.flush(&scope, &read.schema)?;
+        read.indexes.flush(&scope, &read.hidden, &remaps)?;
         if remaps.any_compaction() {
             // The PC drops its dead rows and renumbers in lockstep (the
             // dead sets were already announced; one frame says "now").
-            self.pc_link.compact(&self.schema)?;
+            read.pc_link.compact(&read.schema)?;
         }
         self.refresh_statistics(&scope)?;
         Ok(Some(delta_rows))
@@ -1085,13 +965,14 @@ impl GhostDb {
     /// is a host-side maintenance pass: its working buffers are not
     /// charged to the device RAM budget.
     fn refresh_statistics(&mut self, scope: &RamScope) -> Result<()> {
-        for (ti, tdef) in self.schema.tables().iter().enumerate() {
+        let read = &mut self.read;
+        for (ti, tdef) in read.schema.tables().iter().enumerate() {
             let table = TableId(ti as u16);
-            let rows = self.hidden.row_count(table) as u64;
+            let rows = read.hidden.row_count(table) as u64;
             for (ci, cdef) in tdef.columns.iter().enumerate() {
                 let column = ColumnId(ci as u16);
                 let rebuilt = if cdef.visibility.is_hidden() {
-                    let mut scan = self.hidden.key_scan(scope, table, column)?;
+                    let mut scan = read.hidden.key_scan(scope, table, column)?;
                     let mut keys = Vec::with_capacity(rows as usize);
                     while let Some((_, k)) = scan.next_entry()? {
                         keys.push(k);
@@ -1113,7 +994,7 @@ impl GhostDb {
                         histogram,
                     }
                 } else {
-                    let values: Vec<Value> = self
+                    let values: Vec<Value> = read
                         .pc_link
                         .visible()
                         .fetch_column(table, column, None)?
@@ -1122,7 +1003,7 @@ impl GhostDb {
                         .collect();
                     ColumnStats::build(&values, STATS_BUCKETS)
                 };
-                if let Some(t) = self.stats.tables.get_mut(ti) {
+                if let Some(t) = read.stats.tables.get_mut(ti) {
                     t.rows = rows;
                     if let Some(slot) = t.columns.get_mut(ci) {
                         *slot = Some(rebuilt);
@@ -1222,129 +1103,6 @@ impl GhostDb {
         self.volume.nand()
     }
 
-    /// Un-flushed delta rows across all tables (observability).
-    pub fn delta_rows(&self) -> u64 {
-        self.hidden.total_delta_rows()
-    }
-
-    /// Bind a SELECT statement into an executable [`QuerySpec`].
-    pub fn bind(&self, sql: &str) -> Result<QuerySpec> {
-        bind_select_spec(&self.schema, &self.tree, sql)
-    }
-
-    fn exec_context(&self, pipeline: PipelineMode) -> ExecContext<'_> {
-        ExecContext {
-            schema: &self.schema,
-            tree: &self.tree,
-            config: &self.config,
-            clock: self.clock.clone(),
-            volume: &self.volume,
-            ram: &self.ram,
-            hidden: &self.hidden,
-            indexes: &self.indexes,
-            pc: &self.pc_link,
-            pipeline,
-        }
-    }
-
-    /// All candidate plans for a statement, cheapest first (demo phases
-    /// 2 and 3).
-    pub fn plans(&self, sql: &str) -> Result<Vec<CostedPlan>> {
-        let spec = self.bind(sql)?;
-        let opt = Optimizer::new(&self.schema, &self.tree, &self.stats, &self.config);
-        opt.plans(&spec, |c| self.indexes.has_value_index(c))
-    }
-
-    /// The canonical all-Pre-filtering plan ("P1").
-    pub fn plan_pre(&self, spec: &QuerySpec) -> Plan {
-        ghostdb_exec::plan_all_pre(spec, &self.schema, |c| self.indexes.has_value_index(c))
-    }
-
-    /// The canonical Post-filtering plan ("P2", Figure 5).
-    pub fn plan_post(&self, spec: &QuerySpec) -> Plan {
-        ghostdb_exec::plan_all_post(spec, &self.schema, |c| self.indexes.has_value_index(c))
-    }
-
-    /// Execute a statement with the optimizer's best plan.
-    ///
-    /// With the flight recorder on ([`set_tracing`](Self::set_tracing))
-    /// the statement leaves a span tree — parse → bind → plan → execute
-    /// with per-operator actuals — retrievable via
-    /// [`last_trace`](Self::last_trace). Recorder off costs one relaxed
-    /// atomic load.
-    pub fn query(&self, sql: &str) -> Result<QueryOutcome> {
-        if !self.recorder.is_enabled() {
-            let spec = self.bind(sql)?;
-            let plan = self.best_plan(&spec)?;
-            return self.run(&spec, &plan);
-        }
-        let stage = StageClock::start();
-        let stmts = parse_statements(sql)?;
-        let parse_end = stage.now_ns();
-        let spec = bind_parsed_select(&self.schema, &self.tree, &stmts)?;
-        let bind_end = stage.now_ns();
-        let plan = self.best_plan(&spec)?;
-        let plan_end = stage.now_ns();
-        let out = self.run(&spec, &plan)?;
-        self.recorder.record(build_statement_trace(
-            stmts.len() as u64,
-            parse_end,
-            bind_end,
-            plan_end,
-            stage.now_ns(),
-            &plan.label,
-            &out.report,
-        ));
-        Ok(out)
-    }
-
-    fn best_plan(&self, spec: &QuerySpec) -> Result<Plan> {
-        let opt = Optimizer::new(&self.schema, &self.tree, &self.stats, &self.config);
-        opt.best(spec, |c| self.indexes.has_value_index(c))
-    }
-
-    /// `EXPLAIN ANALYZE`: run `sql` with the optimizer's best plan, then
-    /// render the plan tree annotated with the cost model's estimated
-    /// cardinalities next to the measured actuals (rows, simulated time,
-    /// blocks pulled, gallops, Bloom probes, liveness drops). The query
-    /// really executes — its frames cross the spied bus like any
-    /// `SELECT`'s, and the annotations are counts/times/sizes only.
-    pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let spec = self.bind(sql)?;
-        let plan = self.best_plan(&spec)?;
-        let (tree, _) = self.analyze_with_plan(&spec, &plan)?;
-        Ok(render_plan(&plan.label, &tree))
-    }
-
-    /// Structured `EXPLAIN ANALYZE` for a caller-chosen plan: the
-    /// annotated [`PlanNode`] tree plus the outcome it was measured
-    /// from. This is the oracle-facing API — tests recount cardinalities
-    /// independently and compare them to the tree's actuals.
-    pub fn analyze_with_plan(
-        &self,
-        spec: &QuerySpec,
-        plan: &Plan,
-    ) -> Result<(PlanNode, QueryOutcome)> {
-        let out = self.run(spec, plan)?;
-        let cost = CostModel::new(&self.schema, &self.tree, &self.stats, &self.config);
-        let cards = cost.cardinalities(spec, plan);
-        let mut tree = plan_nodes(&self.schema, spec, plan, Some(&cards));
-        attach_actuals(&mut tree, &out.report);
-        Ok((tree, out))
-    }
-
-    /// Turn the flight recorder on or off. Off (the default) costs one
-    /// relaxed atomic load per statement; on, each `query` records a
-    /// span tree over parse → bind → plan → execute.
-    pub fn set_tracing(&self, on: bool) {
-        self.recorder.set_enabled(on);
-    }
-
-    /// The last completed statement trace, if tracing was on for it.
-    pub fn last_trace(&self) -> Option<Span> {
-        self.recorder.last()
-    }
-
     /// Refresh the point-in-time gauges and snapshot the engine-wide
     /// metrics registry (counters, gauges, histograms from the bus, the
     /// flash volume, and the core).
@@ -1376,29 +1134,6 @@ impl GhostDb {
             .set(self.hidden.total_delta_rows() as i64);
     }
 
-    /// Execute a statement with a caller-chosen plan (demo phase 2/3).
-    pub fn query_with_plan(&self, sql: &str, plan: &Plan) -> Result<QueryOutcome> {
-        let spec = self.bind(sql)?;
-        self.run(&spec, plan)
-    }
-
-    /// Execute an already-bound spec with a plan.
-    pub fn run(&self, spec: &QuerySpec, plan: &Plan) -> Result<QueryOutcome> {
-        self.run_with_pipeline(spec, plan, PipelineMode::Blocked)
-    }
-
-    /// Execute with the seed's scalar (id-at-a-time) operators instead
-    /// of the blocked pipeline. Results and tuple counts must match
-    /// [`run`](Self::run) exactly; only simulated timings differ. Kept
-    /// public as the equivalence foil for tests and benchmarks.
-    ///
-    /// Routed through a throwaway [`Snapshot`] so every plan-equivalence
-    /// test that compares scalar vs blocked output also exercises the
-    /// snapshot read path end to end.
-    pub fn run_scalar(&self, spec: &QuerySpec, plan: &Plan) -> Result<QueryOutcome> {
-        self.snapshot()?.run_scalar(spec, plan)
-    }
-
     /// Capture an immutable, epoch-stamped [`Snapshot`] of the database:
     /// a cheap deep copy of the bounded RAM deltas plus `Arc`-shared
     /// flash segment manifests, with every base page pinned against
@@ -1420,52 +1155,6 @@ impl GhostDb {
     /// [`device_report`](Self::device_report)).
     pub fn open_snapshots(&self) -> usize {
         self.sessions.open_snapshots()
-    }
-
-    fn run_with_pipeline(
-        &self,
-        spec: &QuerySpec,
-        plan: &Plan,
-        pipeline: PipelineMode,
-    ) -> Result<QueryOutcome> {
-        // The query text is public: the PC poses it to the device.
-        self.bus.transmit(
-            Endpoint::Pc,
-            Endpoint::Device,
-            &Message::Query {
-                sql: spec.sql.clone(),
-            },
-        )?;
-        let ctx = self.exec_context(pipeline);
-        let (rows, report) = execute(&ctx, spec, plan)?;
-        self.metrics.select_latency.observe(report.total_ns);
-        // Results exist only sealed on the device...
-        let sealed = Sealed::new(rows);
-        // ...and are opened by the secure display alone.
-        let ticket = self.bus.present(&sealed.peek_on_device().rows);
-        let rows = sealed.open(ticket);
-        Ok(QueryOutcome { rows, report })
-    }
-
-    /// Multi-line explain: the plan list with costs for a statement,
-    /// each plan rendered as the same operator tree `EXPLAIN ANALYZE`
-    /// prints (annotated with the cost model's estimated cardinalities —
-    /// no execution happens here).
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let spec = self.bind(sql)?;
-        let plans = self.plans(sql)?;
-        let cost = CostModel::new(&self.schema, &self.tree, &self.stats, &self.config);
-        let mut out = format!("{} candidate plan(s)\n", plans.len());
-        for cp in plans.iter().take(8) {
-            let cards = cost.cardinalities(&spec, &cp.plan);
-            let tree = plan_nodes(&self.schema, &spec, &cp.plan, Some(&cards));
-            out.push_str(&format!(
-                "-- estimated {}\n{}",
-                format_ns(cp.est_ns as u64),
-                render_plan(&cp.plan.label, &tree)
-            ));
-        }
-        Ok(out)
     }
 
     /// Device-side storage report (flash occupancy, index overhead,
@@ -1576,115 +1265,87 @@ impl GhostDb {
     }
 }
 
-/// Bind a SELECT statement against a schema + tree — shared by
-/// [`GhostDb::bind`] and [`Snapshot::bind`].
-pub(crate) fn bind_select_spec(schema: &Schema, tree: &TreeSchema, sql: &str) -> Result<QuerySpec> {
-    let stmts = parse_statements(sql)?;
-    bind_parsed_select(schema, tree, &stmts)
-}
-
-/// The bind half of [`bind_select_spec`], over already-parsed
-/// statements — the traced query path times parse and bind separately.
-pub(crate) fn bind_parsed_select(
-    schema: &Schema,
-    tree: &TreeSchema,
-    stmts: &[Statement],
-) -> Result<QuerySpec> {
-    let sel = stmts
-        .iter()
-        .find_map(|s| match s {
-            Statement::Select(sel) | Statement::ExplainAnalyze(sel) => Some(sel),
-            _ => None,
-        })
-        .ok_or_else(|| GhostError::sql("expected a SELECT statement"))?;
-    let bound = bind_select(schema, tree, sel)?;
-    QuerySpec::bind(
-        schema,
-        tree,
-        bound.sql,
-        bound.tables,
-        bound.projections,
-        bound.predicates,
-        bound.joins,
-    )?
-    .with_analytics(schema, &bound.analytics)
-}
-
-/// A decoded WAL record: one committed mutation batch. All three kinds
-/// replay batch-atomically through the same validated paths live
-/// traffic takes; delete/update records carry **logical** row ids, which
-/// are stable across the flushes a replay may interleave with. Insert
-/// and update records hold hidden values — they live on the device's
-/// NAND only and never cross the bus.
-enum WalRecord {
-    /// An insert batch (tag 0).
+/// One mutation batch: what the programmatic API applies, what the WAL
+/// logs, and what mount replays — all batch-atomically through
+/// [`GhostDb::apply`]. Delete/update batches carry **logical** row ids,
+/// which are stable across the flushes a replay may interleave with.
+/// Insert and update batches hold hidden values — their WAL records live
+/// on the device's NAND only and never cross the bus.
+enum Mutation {
+    /// WAL tag 0: full rows in declaration order.
     Insert(TableId, Vec<Vec<Value>>),
-    /// A delete batch (tag 1): logical row ids.
+    /// WAL tag 1: logical row ids.
     Delete(TableId, Vec<RowId>),
-    /// An update batch (tag 2): logical row ids + assignments.
+    /// WAL tag 2: logical row ids + assignments.
     Update(TableId, Vec<RowId>, Vec<(ColumnId, Value)>),
 }
 
-/// Encode one insert batch as a WAL record.
-fn encode_insert_record(table: TableId, rows: &[Vec<Value>]) -> Vec<u8> {
-    let mut out = vec![0u8];
-    table.encode(&mut out);
-    (rows.len() as u32).encode(&mut out);
-    for row in rows {
-        row.encode(&mut out);
-    }
-    out
-}
-
-/// Encode one delete batch as a WAL record.
-fn encode_delete_record(table: TableId, rows: &[RowId]) -> Vec<u8> {
-    let mut out = vec![1u8];
-    table.encode(&mut out);
-    rows.to_vec().encode(&mut out);
-    out
-}
-
-/// Encode one update batch as a WAL record.
-fn encode_update_record(
-    table: TableId,
-    rows: &[RowId],
-    assignments: &[(ColumnId, Value)],
-) -> Vec<u8> {
-    let mut out = vec![2u8];
-    table.encode(&mut out);
-    rows.to_vec().encode(&mut out);
-    assignments.to_vec().encode(&mut out);
-    out
-}
-
-/// Decode one WAL record back into its mutation batch.
-fn decode_wal_record(bytes: &[u8]) -> Result<WalRecord> {
-    let Some((&tag, mut buf)) = bytes.split_first() else {
-        return Err(GhostError::corrupt("empty WAL record"));
-    };
-    let buf = &mut buf;
-    let rec = match tag {
-        0 => {
-            let table = TableId::decode(buf)?;
-            let n = u32::decode(buf)?;
-            let mut rows = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                rows.push(Vec::<Value>::decode(buf)?);
-            }
-            WalRecord::Insert(table, rows)
+impl Mutation {
+    /// The statement-latency histogram this batch observes into.
+    fn latency<'m>(&self, metrics: &'m CoreMetrics) -> &'m ghostdb_obs::Histogram {
+        match self {
+            Mutation::Insert(..) => &metrics.insert_latency,
+            Mutation::Delete(..) => &metrics.delete_latency,
+            Mutation::Update(..) => &metrics.update_latency,
         }
-        1 => WalRecord::Delete(TableId::decode(buf)?, Vec::<RowId>::decode(buf)?),
-        2 => WalRecord::Update(
-            TableId::decode(buf)?,
-            Vec::<RowId>::decode(buf)?,
-            Vec::<(ColumnId, Value)>::decode(buf)?,
-        ),
-        t => return Err(GhostError::corrupt(format!("WAL record tag {t}"))),
-    };
-    if !buf.is_empty() {
-        return Err(GhostError::corrupt("trailing bytes in WAL record"));
     }
-    Ok(rec)
+
+    /// Encode the batch as a WAL record.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        match self {
+            Mutation::Insert(table, rows) => {
+                out.push(0u8);
+                table.encode(&mut out);
+                (rows.len() as u32).encode(&mut out);
+                for row in rows {
+                    row.encode(&mut out);
+                }
+            }
+            Mutation::Delete(table, rows) => {
+                out.push(1u8);
+                table.encode(&mut out);
+                rows.encode(&mut out);
+            }
+            Mutation::Update(table, rows, assignments) => {
+                out.push(2u8);
+                table.encode(&mut out);
+                rows.encode(&mut out);
+                assignments.encode(&mut out);
+            }
+        }
+        out
+    }
+
+    /// Decode one WAL record back into its batch.
+    fn decode(bytes: &[u8]) -> Result<Mutation> {
+        let Some((&tag, mut buf)) = bytes.split_first() else {
+            return Err(GhostError::corrupt("empty WAL record"));
+        };
+        let buf = &mut buf;
+        let rec = match tag {
+            0 => {
+                let table = TableId::decode(buf)?;
+                let n = u32::decode(buf)?;
+                let mut rows = Vec::with_capacity(n as usize);
+                for _ in 0..n {
+                    rows.push(Vec::<Value>::decode(buf)?);
+                }
+                Mutation::Insert(table, rows)
+            }
+            1 => Mutation::Delete(TableId::decode(buf)?, Vec::<RowId>::decode(buf)?),
+            2 => Mutation::Update(
+                TableId::decode(buf)?,
+                Vec::<RowId>::decode(buf)?,
+                Vec::<(ColumnId, Value)>::decode(buf)?,
+            ),
+            t => return Err(GhostError::corrupt(format!("WAL record tag {t}"))),
+        };
+        if !buf.is_empty() {
+            return Err(GhostError::corrupt("trailing bytes in WAL record"));
+        }
+        Ok(rec)
+    }
 }
 
 #[cfg(test)]
@@ -1822,7 +1483,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_runs_and_annotates() {
+    fn statement_explain_analyze_runs_and_annotates() {
         let mut db = tiny();
         let out = db
             .execute("EXPLAIN ANALYZE SELECT Vis.VisID FROM Visit Vis WHERE Vis.Severity >= 4;")

@@ -1,25 +1,15 @@
-//! Snapshot read sessions: epoch-stamped, MVCC-style read handles that
-//! run `SELECT`s concurrently with the single writer.
+//! Snapshot read sessions: the pin guard and the session registry
+//! around a forked [`ReadState`].
 //!
-//! The engine is already MVCC-shaped — immutable flash bases, bounded
-//! RAM deltas, tombstone [`LiveSet`]s — so a consistent read view is
-//! nearly free to capture:
-//!
-//! * the **flash bases** are shared by reference (segment page lists
-//!   are `Arc`ed; nothing rewrites a sealed segment in place);
-//! * the **RAM deltas, overwrite overlays, tombstone sets, and index
-//!   deltas** are copied — every one of them is bounded by the delta
-//!   flush threshold ([`DeviceConfig::delta_flush_rows`]), so the copy
-//!   cost tracks the *un-flushed tail*, never the base size;
-//! * the **schema, tree, config, and statistics** ride along (`Arc`s
-//!   for the immutable parts, a bounded clone for the stats).
-//!
-//! Because [`GhostDb::snapshot`] borrows `&self`, the borrow checker
-//! itself quiesces capture: no writer method (`&mut self`) can overlap
-//! it, so capture needs no locks. Once captured, the snapshot races
-//! only with *future* writer work — and every shared structure it
-//! still touches (the volume's translation table, the NAND part, the
-//! bus trace, the clock) is internally synchronized.
+//! What a snapshot can *do* lives in [`ReadState`]; what it *copies*
+//! lives in `ReadState::fork`. This file holds what makes a fork safe
+//! to keep while the writer moves on. Because [`GhostDb::snapshot`]
+//! borrows `&self`, the borrow checker itself quiesces capture: no
+//! writer method (`&mut self`) can overlap it, so capture needs no
+//! locks. Once captured, the snapshot races only with *future* writer
+//! work — and every shared structure it still touches (the volume's
+//! translation table, the NAND part, the bus trace, the clock) is
+//! internally synchronized.
 //!
 //! # What pins what
 //!
@@ -35,37 +25,22 @@
 //!
 //! # Sessions
 //!
-//! Each snapshot is one read session with its own device RAM slice
-//! (a fresh [`RamBudget`] of the configured size — concurrent sessions
-//! model independent secure-device sessions, per the paper's
-//! session-per-query trust model) and its own bus endpoint over the
-//! shared (spied) link. A [`Snapshot`] is `Send + Sync`; give each
-//! reader thread its own snapshot so RAM-budget contention between
-//! sessions cannot produce spurious out-of-RAM failures.
+//! Each snapshot is one read session with its own device RAM slice and
+//! its own bus endpoint over the shared (spied) link — concurrent
+//! sessions model independent secure-device sessions, per the paper's
+//! session-per-query trust model. A [`Snapshot`] is `Send + Sync`; give
+//! each reader thread its own so RAM-budget contention between sessions
+//! cannot produce spurious out-of-RAM failures.
 //!
-//! [`LiveSet`]: ghostdb_types::LiveSet
-//! [`DeviceConfig::delta_flush_rows`]: ghostdb_types::DeviceConfig::delta_flush_rows
 //! [`Volume::pin_pages`]: ghostdb_flash::Volume::pin_pages
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
-use ghostdb_bus::{Bus, Endpoint, Message};
-use ghostdb_catalog::{Schema, SchemaStats, TreeSchema};
-use ghostdb_exec::{
-    attach_actuals, execute, plan_nodes, render_plan, CostModel, CostedPlan, Optimizer,
-    PipelineMode, Plan, PlanNode, QuerySpec,
-};
-use ghostdb_flash::Volume;
-use ghostdb_index::IndexSet;
-use ghostdb_obs::{Span, TraceRecorder};
-use ghostdb_ram::RamBudget;
-use ghostdb_sql::parse_statements;
-use ghostdb_storage::HiddenStore;
-use ghostdb_types::{format_ns, DeviceConfig, Result, Sealed, SimClock};
+use ghostdb_types::Result;
 
-use crate::flight::{build_statement_trace, CoreMetrics, StageClock};
-use crate::{BusPcLink, GhostDb, QueryOutcome};
+use crate::{GhostDb, ReadState};
 
 /// Registry of open snapshot sessions, shared between the writer (for
 /// `device_report()`) and every snapshot (which deregisters itself on
@@ -131,45 +106,32 @@ impl SessionRegistry {
     }
 }
 
-/// An immutable, epoch-stamped view of the database: the read half of
-/// [`GhostDb`], detached from `&mut self`.
+/// An immutable, epoch-stamped view of the database: a forked
+/// [`ReadState`] plus the pin guard that keeps its base pages alive.
 ///
 /// A snapshot sees exactly the state committed at its capture epoch —
 /// concurrent inserts, deletes, updates, and even flushes by the
 /// writer never show through (snapshot isolation). It is `Send + Sync`
 /// and carries its own device RAM slice; hand one to each reader
-/// thread and run [`query`](Snapshot::query) freely. Dropping it
+/// thread and run [`query`](ReadState::query) freely — the whole read
+/// surface comes from [`ReadState`] through `Deref`. Dropping it
 /// unpins its base segments, letting a flush that outpaced it finally
 /// retire them.
 pub struct Snapshot {
+    read: ReadState,
     epoch: u64,
-    schema: Arc<Schema>,
-    tree: Arc<TreeSchema>,
-    config: Arc<DeviceConfig>,
-    clock: SimClock,
-    bus: Bus,
-    volume: Volume,
-    /// This session's device RAM slice.
-    ram: RamBudget,
-    /// Frozen hidden store: shared flash bases + copied deltas.
-    hidden: HiddenStore,
-    /// Frozen index set: shared flash bases + copied deltas.
-    indexes: IndexSet,
-    /// Planner statistics as of the capture epoch.
-    stats: SchemaStats,
-    /// This session's PC endpoint over the shared bus, with the
-    /// visible store as of the capture epoch.
-    pc_link: BusPcLink,
     /// Base LPNs pinned in the volume until drop.
     pinned: Vec<u32>,
     session_id: u64,
     registry: Arc<SessionRegistry>,
-    /// The engine's flight recorder (shared — snapshot traces land in
-    /// the same slot `GhostDb::last_trace` reads).
-    recorder: TraceRecorder,
-    /// The engine's metric handles (shared — snapshot reads observe
-    /// into the same statement-latency histograms).
-    metrics: Arc<CoreMetrics>,
+}
+
+impl Deref for Snapshot {
+    type Target = ReadState;
+
+    fn deref(&self) -> &ReadState {
+        &self.read
+    }
 }
 
 impl Snapshot {
@@ -183,25 +145,12 @@ impl Snapshot {
         pinned.sort_unstable();
         pinned.dedup();
         db.volume.pin_pages(&pinned)?;
-        let session_id = db.sessions.register(db.epoch, pinned.len());
         Ok(Snapshot {
-            epoch: db.epoch,
-            schema: db.schema.clone(),
-            tree: db.tree.clone(),
-            config: db.config.clone(),
-            clock: db.clock.clone(),
-            bus: db.bus.clone(),
-            volume: db.volume.clone(),
-            ram: RamBudget::new(db.config.ram_bytes),
-            hidden: db.hidden.clone(),
-            indexes: db.indexes.clone(),
-            stats: db.stats.clone(),
-            pc_link: BusPcLink::new(db.bus.clone(), db.pc_link.visible().clone()),
+            read: db.fork(),
+            epoch: db.epoch(),
+            session_id: db.sessions.register(db.epoch(), pinned.len()),
             pinned,
-            session_id,
             registry: db.sessions.clone(),
-            recorder: db.recorder.clone(),
-            metrics: db.metrics.clone(),
         })
     }
 
@@ -215,177 +164,6 @@ impl Snapshot {
     /// leak check in `tests/concurrency.rs` watches these drain).
     pub fn pinned_pages(&self) -> usize {
         self.pinned.len()
-    }
-
-    /// The bound schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Tree analysis of the schema.
-    pub fn tree(&self) -> &TreeSchema {
-        &self.tree
-    }
-
-    /// Bind a SELECT statement into an executable [`QuerySpec`].
-    pub fn bind(&self, sql: &str) -> Result<QuerySpec> {
-        crate::bind_select_spec(&self.schema, &self.tree, sql)
-    }
-
-    /// All candidate plans for a statement, cheapest first.
-    pub fn plans(&self, sql: &str) -> Result<Vec<CostedPlan>> {
-        let spec = self.bind(sql)?;
-        let opt = Optimizer::new(&self.schema, &self.tree, &self.stats, &self.config);
-        opt.plans(&spec, |c| self.indexes.has_value_index(c))
-    }
-
-    /// The canonical all-Pre-filtering plan ("P1").
-    pub fn plan_pre(&self, spec: &QuerySpec) -> Plan {
-        ghostdb_exec::plan_all_pre(spec, &self.schema, |c| self.indexes.has_value_index(c))
-    }
-
-    /// The canonical Post-filtering plan ("P2").
-    pub fn plan_post(&self, spec: &QuerySpec) -> Plan {
-        ghostdb_exec::plan_all_post(spec, &self.schema, |c| self.indexes.has_value_index(c))
-    }
-
-    /// Execute a statement with the optimizer's best plan, against
-    /// this snapshot's epoch.
-    ///
-    /// With the shared flight recorder on (the engine's
-    /// [`GhostDb::set_tracing`]) the statement records the same span
-    /// tree a writer-side `query` would.
-    pub fn query(&self, sql: &str) -> Result<QueryOutcome> {
-        if !self.recorder.is_enabled() {
-            let spec = self.bind(sql)?;
-            let plan = self.best_plan(&spec)?;
-            return self.run(&spec, &plan);
-        }
-        let stage = StageClock::start();
-        let stmts = parse_statements(sql)?;
-        let parse_end = stage.now_ns();
-        let spec = crate::bind_parsed_select(&self.schema, &self.tree, &stmts)?;
-        let bind_end = stage.now_ns();
-        let plan = self.best_plan(&spec)?;
-        let plan_end = stage.now_ns();
-        let out = self.run(&spec, &plan)?;
-        self.recorder.record(build_statement_trace(
-            stmts.len() as u64,
-            parse_end,
-            bind_end,
-            plan_end,
-            stage.now_ns(),
-            &plan.label,
-            &out.report,
-        ));
-        Ok(out)
-    }
-
-    fn best_plan(&self, spec: &QuerySpec) -> Result<Plan> {
-        let opt = Optimizer::new(&self.schema, &self.tree, &self.stats, &self.config);
-        opt.best(spec, |c| self.indexes.has_value_index(c))
-    }
-
-    /// `EXPLAIN ANALYZE` against this snapshot's epoch (see
-    /// [`GhostDb::explain_analyze`]).
-    pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let spec = self.bind(sql)?;
-        let plan = self.best_plan(&spec)?;
-        let (tree, _) = self.analyze_with_plan(&spec, &plan)?;
-        Ok(render_plan(&plan.label, &tree))
-    }
-
-    /// Structured `EXPLAIN ANALYZE` for a caller-chosen plan (see
-    /// [`GhostDb::analyze_with_plan`]).
-    pub fn analyze_with_plan(
-        &self,
-        spec: &QuerySpec,
-        plan: &Plan,
-    ) -> Result<(PlanNode, QueryOutcome)> {
-        let out = self.run(spec, plan)?;
-        let cost = CostModel::new(&self.schema, &self.tree, &self.stats, &self.config);
-        let cards = cost.cardinalities(spec, plan);
-        let mut tree = plan_nodes(&self.schema, spec, plan, Some(&cards));
-        attach_actuals(&mut tree, &out.report);
-        Ok((tree, out))
-    }
-
-    /// The last completed statement trace, if tracing was on for it
-    /// (the slot is shared with the engine).
-    pub fn last_trace(&self) -> Option<Span> {
-        self.recorder.last()
-    }
-
-    /// Execute a statement with a caller-chosen plan.
-    pub fn query_with_plan(&self, sql: &str, plan: &Plan) -> Result<QueryOutcome> {
-        let spec = self.bind(sql)?;
-        self.run(&spec, plan)
-    }
-
-    /// Execute an already-bound spec with a plan.
-    pub fn run(&self, spec: &QuerySpec, plan: &Plan) -> Result<QueryOutcome> {
-        self.run_with_pipeline(spec, plan, PipelineMode::Blocked)
-    }
-
-    /// Execute with the seed's scalar (id-at-a-time) operators — the
-    /// equivalence foil, on the snapshot path.
-    pub fn run_scalar(&self, spec: &QuerySpec, plan: &Plan) -> Result<QueryOutcome> {
-        self.run_with_pipeline(spec, plan, PipelineMode::Scalar)
-    }
-
-    fn run_with_pipeline(
-        &self,
-        spec: &QuerySpec,
-        plan: &Plan,
-        pipeline: PipelineMode,
-    ) -> Result<QueryOutcome> {
-        // The query text is public: the PC poses it to the device.
-        self.bus.transmit(
-            Endpoint::Pc,
-            Endpoint::Device,
-            &Message::Query {
-                sql: spec.sql.clone(),
-            },
-        )?;
-        let ctx = ghostdb_exec::ExecContext {
-            schema: &self.schema,
-            tree: &self.tree,
-            config: &self.config,
-            clock: self.clock.clone(),
-            volume: &self.volume,
-            ram: &self.ram,
-            hidden: &self.hidden,
-            indexes: &self.indexes,
-            pc: &self.pc_link,
-            pipeline,
-        };
-        let (rows, report) = execute(&ctx, spec, plan)?;
-        self.metrics.select_latency.observe(report.total_ns);
-        // Results exist only sealed on the device...
-        let sealed = Sealed::new(rows);
-        // ...and are opened by the secure display alone.
-        let ticket = self.bus.present(&sealed.peek_on_device().rows);
-        let rows = sealed.open(ticket);
-        Ok(QueryOutcome { rows, report })
-    }
-
-    /// Multi-line explain: the plan list with costs for a statement,
-    /// rendered as the same operator tree `EXPLAIN ANALYZE` prints.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let spec = self.bind(sql)?;
-        let plans = self.plans(sql)?;
-        let cost = CostModel::new(&self.schema, &self.tree, &self.stats, &self.config);
-        let mut out = format!("{} candidate plan(s)\n", plans.len());
-        for cp in plans.iter().take(8) {
-            let cards = cost.cardinalities(&spec, &cp.plan);
-            let tree = plan_nodes(&self.schema, &spec, &cp.plan, Some(&cards));
-            out.push_str(&format!(
-                "-- estimated {}\n{}",
-                format_ns(cp.est_ns as u64),
-                render_plan(&cp.plan.label, &tree)
-            ));
-        }
-        Ok(out)
     }
 }
 

@@ -850,7 +850,11 @@ impl Volume {
     pub fn commit_seal(&self) -> Result<()> {
         let deferred: Vec<u32> = {
             let mut st = self.state.lock().expect("volume poisoned");
-            let d: Vec<u32> = st.deferred_free.drain().collect();
+            // Sorted: the set drains in hash order, and the order of the
+            // frees below decides which blocks GC erases first — simulated
+            // time must not depend on it.
+            let mut d: Vec<u32> = st.deferred_free.drain().collect();
+            d.sort_unstable();
             // Unseal first so free_now treats them as ordinary pages.
             for &lpn in &d {
                 if st.is_sealed(lpn) {

@@ -29,7 +29,7 @@ pub use climbing::{ClimbingIndex, ClimbingManifest, PostingStream};
 pub use skt::{SktCursor, SktManifest, SktRow, SubtreeKeyTable};
 pub use sort::{ExternalSorter, SortRecord, SortedStream};
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ghostdb_catalog::{ColumnRef, Schema, TreeSchema, Visibility};
 use ghostdb_flash::Volume;
@@ -60,11 +60,15 @@ pub struct RowInsert<'a> {
 ///
 /// `Clone` freezes every index for a snapshot session: flash bases are
 /// shared, RAM deltas are copied — bounded by the flush threshold.
+///
+/// The maps are ordered so that maintenance and flush walk the
+/// structures — and therefore program and free flash segments — in the
+/// same order on every run: simulated time must repeat bit for bit.
 #[derive(Debug, Clone)]
 pub struct IndexSet {
-    skts: HashMap<u16, SubtreeKeyTable>,
-    value_indexes: HashMap<(u16, u16), ClimbingIndex>,
-    key_indexes: HashMap<u16, ClimbingIndex>,
+    skts: BTreeMap<u16, SubtreeKeyTable>,
+    value_indexes: BTreeMap<(u16, u16), ClimbingIndex>,
+    key_indexes: BTreeMap<u16, ClimbingIndex>,
 }
 
 impl IndexSet {
@@ -77,12 +81,12 @@ impl IndexSet {
         data: &Dataset,
         encoders: &LoadEncoders,
     ) -> Result<IndexSet> {
-        let mut skts = HashMap::new();
+        let mut skts = BTreeMap::new();
         for t in tree.skt_roots() {
             let skt = SubtreeKeyTable::build(volume, scope, tree, data, t)?;
             skts.insert(t.0, skt);
         }
-        let mut value_indexes = HashMap::new();
+        let mut value_indexes = BTreeMap::new();
         for cref in schema.hidden_columns() {
             // Key columns get the dedicated key index below; value indexes
             // cover hidden *attribute* columns (and hidden FKs are key
@@ -96,7 +100,7 @@ impl IndexSet {
         }
         // Visible attribute columns never get climbing indexes: their
         // selections are always delegated to the PC (paper §3).
-        let mut key_indexes = HashMap::new();
+        let mut key_indexes = BTreeMap::new();
         for (ti, _t) in schema.tables().iter().enumerate() {
             let tid = TableId(ti as u16);
             if tid == tree.root() {
@@ -371,28 +375,25 @@ impl IndexSet {
         }
     }
 
-    /// The index set's durable manifest (deterministic order: sorted by
-    /// table/column id so identical states seal byte-identical images).
+    /// The index set's durable manifest (the maps iterate sorted by
+    /// table/column id, so identical states seal byte-identical images).
     /// Requires every delta to be flushed first.
     pub fn manifest(&self) -> Result<IndexSetManifest> {
-        let mut skts: Vec<(u16, SktManifest)> = self
+        let skts: Vec<(u16, SktManifest)> = self
             .skts
             .iter()
             .map(|(t, s)| Ok((*t, s.manifest()?)))
             .collect::<Result<_>>()?;
-        skts.sort_by_key(|(t, _)| *t);
-        let mut value_indexes: Vec<((u16, u16), ClimbingManifest)> = self
+        let value_indexes: Vec<((u16, u16), ClimbingManifest)> = self
             .value_indexes
             .iter()
             .map(|(k, i)| Ok((*k, i.manifest()?)))
             .collect::<Result<_>>()?;
-        value_indexes.sort_by_key(|(k, _)| *k);
-        let mut key_indexes: Vec<(u16, ClimbingManifest)> = self
+        let key_indexes: Vec<(u16, ClimbingManifest)> = self
             .key_indexes
             .iter()
             .map(|(t, i)| Ok((*t, i.manifest()?)))
             .collect::<Result<_>>()?;
-        key_indexes.sort_by_key(|(t, _)| *t);
         Ok(IndexSetManifest {
             skts,
             value_indexes,
@@ -403,15 +404,15 @@ impl IndexSet {
     /// Rebuild every index from a mounted volume and the sealed
     /// manifest — the mount path's replacement for [`IndexSet::build`].
     pub fn restore(volume: &Volume, m: &IndexSetManifest) -> Result<IndexSet> {
-        let mut skts = HashMap::new();
+        let mut skts = BTreeMap::new();
         for (t, sm) in &m.skts {
             skts.insert(*t, SubtreeKeyTable::restore(volume, sm)?);
         }
-        let mut value_indexes = HashMap::new();
+        let mut value_indexes = BTreeMap::new();
         for (key, cm) in &m.value_indexes {
             value_indexes.insert(*key, ClimbingIndex::restore(volume, cm)?);
         }
-        let mut key_indexes = HashMap::new();
+        let mut key_indexes = BTreeMap::new();
         for (t, cm) in &m.key_indexes {
             key_indexes.insert(*t, ClimbingIndex::restore(volume, cm)?);
         }

@@ -2,6 +2,7 @@
 #![allow(dead_code)] // each test binary uses a different subset
 
 use ghostdb::{GhostDb, QueryOutcome};
+use ghostdb_exec::{Plan, QuerySpec};
 use ghostdb_types::{DeviceConfig, Value};
 use ghostdb_workload::{generate_medical, MedicalConfig, MEDICAL_DDL};
 
@@ -62,6 +63,57 @@ pub fn assert_matches_reference(
         out.rows.rows, expect,
         "engine and reference disagree for {sql}"
     );
+}
+
+/// Capture fidelity: a snapshot taken now runs `(spec, plan)` to the
+/// same rows and the same per-operator tuple counts as the writer it
+/// was forked from.
+pub fn assert_snapshot_matches(db: &GhostDb, spec: &QuerySpec, plan: &Plan) {
+    let live = db.run(spec, plan).expect("writer run");
+    let snap = db.snapshot().expect("snapshot");
+    let seen = snap.run(spec, plan).expect("snapshot run");
+    assert_eq!(
+        seen.rows.rows, live.rows.rows,
+        "snapshot and writer rows disagree under plan {}: {}",
+        plan.label, spec.sql
+    );
+    let counts = |o: &QueryOutcome| -> Vec<(String, u64, u64)> {
+        o.report
+            .ops
+            .iter()
+            .map(|op| (op.name.clone(), op.tuples_in, op.tuples_out))
+            .collect()
+    };
+    assert_eq!(
+        counts(&seen),
+        counts(&live),
+        "snapshot and writer tuple counts disagree under plan {}: {}",
+        plan.label,
+        spec.sql
+    );
+}
+
+/// One `Child (cid, vis, hid HIDDEN, tag HIDDEN)` row of the two-table
+/// Child/Root fixture the equivalence proptests share. The tag pool
+/// size controls how often inserts mint strings the base dictionary
+/// has never seen.
+pub fn child_row(i: i64, next: &mut impl FnMut() -> i64, tags: usize) -> Vec<Value> {
+    vec![
+        Value::Int(i),
+        Value::Int(next() % 50),
+        Value::Int(next() % 50),
+        Value::Text(format!("tag-{}", next().rem_euclid(tags as i64))),
+    ]
+}
+
+/// One `Root (rid, amt HIDDEN, cid HIDDEN → Child)` row of the same
+/// fixture, referencing one of `children` child rows.
+pub fn root_row(i: i64, children: i64, next: &mut impl FnMut() -> i64) -> Vec<Value> {
+    vec![
+        Value::Int(i),
+        Value::Int(next() % 50),
+        Value::Int(next().rem_euclid(children)),
+    ]
 }
 
 /// Rows as a flat debug string (stable diagnostics).

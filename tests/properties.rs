@@ -224,9 +224,10 @@ mod insert_equivalence {
     //! both pipeline modes (so the blocked/scalar equivalence is also
     //! proven on datasets containing un-flushed deltas).
 
+    use super::common::{assert_snapshot_matches, child_row, root_row};
     use ghostdb::GhostDb;
     use ghostdb_storage::Dataset;
-    use ghostdb_types::{DeviceConfig, TableId, Value};
+    use ghostdb_types::{DeviceConfig, TableId};
     use proptest::prelude::*;
 
     const DDL: &str = "\
@@ -239,25 +240,6 @@ mod insert_equivalence {
           rid INTEGER PRIMARY KEY,
           amt INTEGER HIDDEN,
           cid REFERENCES Child(cid) HIDDEN);";
-
-    fn child_row(i: i64, next: &mut impl FnMut() -> i64, tags: usize) -> Vec<Value> {
-        vec![
-            Value::Int(i),
-            Value::Int(next() % 50),
-            Value::Int(next() % 50),
-            // Tag pool size controls how often inserts mint strings the
-            // base dictionary has never seen.
-            Value::Text(format!("tag-{}", next().rem_euclid(tags as i64))),
-        ]
-    }
-
-    fn root_row(i: i64, children: i64, next: &mut impl FnMut() -> i64) -> Vec<Value> {
-        vec![
-            Value::Int(i),
-            Value::Int(next() % 50),
-            Value::Int(next().rem_euclid(children)),
-        ]
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
@@ -348,6 +330,7 @@ mod insert_equivalence {
                             &scalar.rows.rows, &expect,
                             "{}/scalar plan {}: {}", phase, cp.plan.label, sql
                         );
+                        assert_snapshot_matches(&db, &spec, &cp.plan);
                     }
                 }
                 if phase == "unflushed" {
@@ -373,6 +356,7 @@ mod mutation_equivalence {
     //! (after `flush_deltas`), and across a seal → power-cut → mount
     //! (mutations committed after the seal replay from the WAL).
 
+    use super::common::assert_snapshot_matches;
     use ghostdb::GhostDb;
     use ghostdb_storage::Dataset;
     use ghostdb_types::{ColumnId, DeviceConfig, RowId, TableId, Value};
@@ -627,6 +611,7 @@ mod mutation_equivalence {
                             &scalar.rows.rows, &expect,
                             "{}/scalar plan {}: {}", phase, cp.plan.label, sql
                         );
+                        assert_snapshot_matches(db, &spec, &cp.plan);
                     }
                 }
             };
@@ -667,9 +652,10 @@ mod seal_mount_equivalence {
     //! modes, and again after the replayed deltas are flushed (which
     //! re-seals) and the key is power-cycled a second time.
 
+    use super::common::{child_row, root_row};
     use ghostdb::GhostDb;
     use ghostdb_storage::Dataset;
-    use ghostdb_types::{DeviceConfig, TableId, Value};
+    use ghostdb_types::{DeviceConfig, TableId};
     use proptest::prelude::*;
 
     const DDL: &str = "\
@@ -682,23 +668,6 @@ mod seal_mount_equivalence {
           rid INTEGER PRIMARY KEY,
           amt INTEGER HIDDEN,
           cid REFERENCES Child(cid) HIDDEN);";
-
-    fn child_row(i: i64, next: &mut impl FnMut() -> i64, tags: usize) -> Vec<Value> {
-        vec![
-            Value::Int(i),
-            Value::Int(next() % 50),
-            Value::Int(next() % 50),
-            Value::Text(format!("tag-{}", next().rem_euclid(tags as i64))),
-        ]
-    }
-
-    fn root_row(i: i64, children: i64, next: &mut impl FnMut() -> i64) -> Vec<Value> {
-        vec![
-            Value::Int(i),
-            Value::Int(next() % 50),
-            Value::Int(next().rem_euclid(children)),
-        ]
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
@@ -1194,6 +1163,7 @@ mod cache_equivalence {
     //! can only remove NAND transfers, so the cached engine's device
     //! time never exceeds the uncached engine's.
 
+    use super::common::assert_snapshot_matches;
     use ghostdb::GhostDb;
     use ghostdb_flash::PageAddr;
     use ghostdb_storage::Dataset;
@@ -1423,6 +1393,7 @@ mod cache_equivalence {
                             &scalar.rows.rows, &oracle.rows.rows,
                             "{}: scalar plan {}: {}", phase, cp.plan.label, sql
                         );
+                        assert_snapshot_matches(on, &spec, &cp.plan);
                     }
                 }
             };

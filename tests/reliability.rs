@@ -7,10 +7,11 @@
 
 mod common;
 
+use common::{child_row, root_row};
 use ghostdb::GhostDb;
 use ghostdb_flash::PageAddr;
 use ghostdb_storage::Dataset;
-use ghostdb_types::{DeviceConfig, TableId, Value};
+use ghostdb_types::{DeviceConfig, TableId};
 use proptest::prelude::*;
 
 const DDL: &str = "\
@@ -34,23 +35,6 @@ fn config() -> DeviceConfig {
     config.flash.wal_blocks = 2;
     config.delta_flush_rows = 0;
     config
-}
-
-fn child_row(i: i64, next: &mut impl FnMut() -> i64) -> Vec<Value> {
-    vec![
-        Value::Int(i),
-        Value::Int(next() % 50),
-        Value::Int(next() % 50),
-        Value::Text(format!("tag-{}", next().rem_euclid(8))),
-    ]
-}
-
-fn root_row(i: i64, children: i64, next: &mut impl FnMut() -> i64) -> Vec<Value> {
-    vec![
-        Value::Int(i),
-        Value::Int(next() % 50),
-        Value::Int(next().rem_euclid(children)),
-    ]
 }
 
 fn lcg(seed: u64) -> impl FnMut() -> i64 {
@@ -85,14 +69,14 @@ proptest! {
         let schema = ghostdb_sql::bind_schema(&stmts).unwrap();
         let mut base = Dataset::empty(&schema);
         for i in 0..base_children as i64 {
-            base.push_row(TableId(0), child_row(i, &mut next)).unwrap();
+            base.push_row(TableId(0), child_row(i, &mut next, 8)).unwrap();
         }
         for i in 0..base_roots as i64 {
             base.push_row(TableId(1), root_row(i, base_children as i64, &mut next)).unwrap();
         }
         let mut child_batch = Vec::new();
         for i in 0..ins_children as i64 {
-            child_batch.push(child_row(base_children as i64 + i, &mut next));
+            child_batch.push(child_row(base_children as i64 + i, &mut next, 8));
         }
 
         // The device under test: faults armed right after the load.
@@ -169,7 +153,8 @@ fn cache_on_and_cache_off_agree_under_armed_rot() {
     let schema = ghostdb_sql::bind_schema(&stmts).unwrap();
     let mut base = Dataset::empty(&schema);
     for i in 0..24i64 {
-        base.push_row(TableId(0), child_row(i, &mut next)).unwrap();
+        base.push_row(TableId(0), child_row(i, &mut next, 8))
+            .unwrap();
     }
     for i in 0..40i64 {
         base.push_row(TableId(1), root_row(i, 24, &mut next))
@@ -221,7 +206,8 @@ fn past_budget_rot_is_a_clean_corrupt_error() {
     let schema = ghostdb_sql::bind_schema(&stmts).unwrap();
     let mut base = Dataset::empty(&schema);
     for i in 0..32i64 {
-        base.push_row(TableId(0), child_row(i, &mut next)).unwrap();
+        base.push_row(TableId(0), child_row(i, &mut next, 8))
+            .unwrap();
     }
     for i in 0..12i64 {
         base.push_row(TableId(1), root_row(i, 32, &mut next))
@@ -256,7 +242,8 @@ fn exhausted_spares_are_a_clean_wearout_error() {
     let schema = ghostdb_sql::bind_schema(&stmts).unwrap();
     let mut base = Dataset::empty(&schema);
     for i in 0..24i64 {
-        base.push_row(TableId(0), child_row(i, &mut next)).unwrap();
+        base.push_row(TableId(0), child_row(i, &mut next, 8))
+            .unwrap();
     }
     for i in 0..8i64 {
         base.push_row(TableId(1), root_row(i, 24, &mut next))
@@ -269,7 +256,7 @@ fn exhausted_spares_are_a_clean_wearout_error() {
     nand.arm_program_failures(3, 1.0);
     let mut batch = Vec::new();
     for i in 0..4i64 {
-        batch.push(child_row(24 + i, &mut next));
+        batch.push(child_row(24 + i, &mut next, 8));
     }
     db.insert_rows(TableId(0), batch).unwrap();
     let err = db
