@@ -1,7 +1,7 @@
 //! Out-of-band page codeword: CRC-32 detection plus single-bit
 //! correction (SECDED-style parity).
 //!
-//! Every programmed page reserves its last [`TAIL_BYTES`] for a
+//! Every programmed page reserves its last 8 bytes for a
 //! codeword over the data region (everything before the tail, with
 //! unwritten bytes at the erased `0xFF` pattern):
 //!
@@ -22,9 +22,21 @@
 //! The budget is therefore **one flipped bit per page** (anywhere,
 //! payload or tail) between programs. Anything past that is reported
 //! uncorrectable — detected, never silently corrected.
+//!
+//! # The page format has one owner
+//!
+//! Payload, erased-pattern padding, codeword tail, and the simulated
+//! cost of computing or checking it are spelled out once, in the
+//! [`Nand`] methods at the bottom of this module
+//! ([`payload_size`](Nand::payload_size), [`seal`](Nand::seal),
+//! [`verify`](Nand::verify)). The volume and the durability layer's
+//! metadata and WAL pages all go through them, so nobody else knows
+//! where the tail sits or how long it is.
 
-/// Codeword size appended to every protected page.
-pub const TAIL_BYTES: usize = 8;
+use crate::nand::Nand;
+
+/// Codeword size appended to every page.
+pub(crate) const TAIL_BYTES: usize = 8;
 
 /// Outcome of verifying one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,7 +184,7 @@ fn codeword(data: &[u8]) -> (u32, u32) {
 /// Compute and store the codeword for `buf`'s data region into its
 /// tail. `buf` is a full raw page; the caller has already padded the
 /// unwritten data bytes with the erased `0xFF` pattern.
-pub fn seal_page(buf: &mut [u8]) {
+fn seal_page(buf: &mut [u8]) {
     let n = buf.len() - TAIL_BYTES;
     let crc = crc32(&buf[..n]);
     let (syn, par) = codeword(&buf[..n]);
@@ -183,7 +195,7 @@ pub fn seal_page(buf: &mut [u8]) {
 
 /// Verify `buf`'s data region against its tail, repairing a single bit
 /// flip in place when one is located.
-pub fn verify_page(buf: &mut [u8]) -> Verdict {
+fn verify_page(buf: &mut [u8]) -> Verdict {
     let n = buf.len() - TAIL_BYTES;
     let stored_crc = u32::from_le_bytes(buf[n..n + 4].try_into().expect("4B"));
     if crc32(&buf[..n]) == stored_crc {
@@ -210,6 +222,45 @@ pub fn verify_page(buf: &mut [u8]) -> Verdict {
         return Verdict::Corrected;
     }
     Verdict::Uncorrectable
+}
+
+impl Nand {
+    /// **Usable** bytes per page: the raw page minus the codeword tail.
+    pub fn payload_size(&self) -> usize {
+        self.config().page_size - TAIL_BYTES
+    }
+
+    /// Build the raw page image for `payload` (at most
+    /// [`payload_size`](Self::payload_size) bytes): the payload,
+    /// erased-pattern padding, and the codeword tail. Charges the
+    /// encode cost to the simulated clock.
+    pub fn seal(&self, payload: &[u8]) -> Vec<u8> {
+        debug_assert!(payload.len() <= self.payload_size());
+        let mut raw = Vec::with_capacity(self.config().page_size);
+        raw.extend_from_slice(payload);
+        raw.resize(self.payload_size(), 0xFF);
+        raw.resize(self.config().page_size, 0);
+        self.reseal(&mut raw);
+        raw
+    }
+
+    /// Regenerate the codeword of a raw page about to be programmed
+    /// somewhere else, so a rotted-but-tolerated tail is not propagated
+    /// to the new copy. Charges the encode cost.
+    pub(crate) fn reseal(&self, raw: &mut [u8]) {
+        seal_page(raw);
+        self.clock().advance(self.config().ecc_cost_ns(raw.len()));
+    }
+
+    /// Check a raw page as read against its codeword, repairing a
+    /// single flipped bit in place; on any verdict but
+    /// [`Verdict::Uncorrectable`] the first
+    /// [`payload_size`](Self::payload_size) bytes are good to serve.
+    /// Charges the check cost.
+    pub fn verify(&self, raw: &mut [u8]) -> Verdict {
+        self.clock().advance(self.config().ecc_cost_ns(raw.len()));
+        verify_page(raw)
+    }
 }
 
 #[cfg(test)]

@@ -72,9 +72,15 @@
 //! flush recoverable: the old image's pages are all still exactly where
 //! it says they are.
 //!
+//! Open read snapshots hold pages the same way, by refcount instead of
+//! seal generation ([`Volume::pin_pages`]): a pinned page may migrate
+//! but is never erased. Both holds share one deferred-free ledger with
+//! one rule — a page is physically released the moment it is **freed,
+//! not sealed, and unpinned**.
+//!
 //! [`FlashConfig::gc_low_watermark_blocks`]: ghostdb_types::FlashConfig::gc_low_watermark_blocks
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -82,7 +88,7 @@ use ghostdb_obs::{Counter, Histogram, Registry, TIME_BUCKETS_NS};
 use ghostdb_ram::{RamBudget, RamGuard, RamScope, ScopedGuard};
 use ghostdb_types::{GhostError, Result, Wire};
 
-use crate::ecc;
+use crate::ecc::Verdict;
 use crate::nand::{BlockId, Nand, PageAddr, PageState};
 
 /// Stable logical page number; the translation table maps it to the
@@ -92,6 +98,15 @@ struct Lpn(u32);
 
 /// Sentinel for "no mapping" in both directions of the translation table.
 const UNMAPPED: u32 = u32::MAX;
+
+/// Upper bound on victim blocks migrated per GC pass, bounding the
+/// latency a single allocation can absorb.
+const GC_MAX_VICTIMS_PER_PASS: usize = 8;
+
+/// Scrub trigger: once a physical page has needed this many corrected
+/// reads since it was programmed, the scrub pass rewrites it to a fresh
+/// cell before it rots past the single-bit correction budget.
+const SCRUB_THRESHOLD: u32 = 2;
 
 /// An immutable sequence of bytes stored on flash.
 ///
@@ -203,22 +218,20 @@ struct AllocState {
     /// Per-block count of sealed live pages — blocks holding any are
     /// exempt from GC victim selection.
     sealed_in_block: Vec<u32>,
-    /// Sealed LPNs whose `free` was deferred; physically released (and
-    /// their blocks made reclaimable) by [`Volume::commit_seal`] once
-    /// the superseding image is durable.
-    deferred_free: HashSet<u32>,
     /// Per-LPN snapshot pin counts: every open read snapshot pins the
     /// pages its base segments can read. A pinned page may still
     /// *migrate* (the translation table keeps snapshot reads valid) but
-    /// is never physically released — a `free` against it parks in
-    /// `pin_deferred` until the last pin drops. This is the same
-    /// deferred-free discipline the sealed image uses, keyed by
-    /// refcount instead of seal generation.
+    /// is never physically released.
     pins: HashMap<u32, u32>,
-    /// Snapshot-pinned LPNs whose `free` was deferred; physically
-    /// released by [`Volume::unpin_pages`] when their pin count
-    /// reaches zero.
-    pin_deferred: HashSet<u32>,
+    /// The deferred-free ledger: LPNs that were freed while the sealed
+    /// image or a snapshot still held them. They stay mapped and
+    /// readable, and the one rule is: a page is physically released the
+    /// moment it is **freed ∧ ¬sealed ∧ unpinned** — at the `free`
+    /// itself when nothing holds it, otherwise by whichever of
+    /// [`Volume::commit_seal`] / [`Volume::unpin_pages`] drops the last
+    /// hold. Ordered, so releases (and the erases they trigger) happen
+    /// in the same order on every run.
+    deferred: BTreeSet<u32>,
     /// Per-block grown-bad retirement flags — the volume's bad-block
     /// table. Retired blocks are never allocated, never erased, never
     /// GC victims; their still-readable pages stay mapped until freed.
@@ -235,6 +248,40 @@ struct AllocState {
 }
 
 impl AllocState {
+    /// The state of a part with nothing mapped and no block on the free
+    /// list yet: the constructors fill in what they know.
+    fn blank(blocks: usize, pages: usize) -> Self {
+        AllocState {
+            free_blocks: Vec::new(),
+            current: None,
+            gc_current: None,
+            live: vec![0; blocks],
+            allocated: vec![0; blocks],
+            l2p: Vec::new(),
+            free_lpns: Vec::new(),
+            p2l: vec![UNMAPPED; pages],
+            gc: GcStats::default(),
+            sealed: Vec::new(),
+            sealed_in_block: vec![0; blocks],
+            pins: HashMap::new(),
+            deferred: BTreeSet::new(),
+            bad: vec![false; blocks],
+            corrected_reads: vec![0; pages],
+            corrected_total: 0,
+            uncorrectable_total: 0,
+            scrubbed_pages: 0,
+        }
+    }
+
+    /// Current physical address of a logical page, `None` once it has
+    /// been released (or was never allocated).
+    fn mapped(&self, lpn: u32) -> Option<PageAddr> {
+        match self.l2p.get(lpn as usize) {
+            Some(&p) if p != UNMAPPED => Some(PageAddr(p)),
+            _ => None,
+        }
+    }
+
     fn is_frontier(&self, block: BlockId, ppb: usize) -> bool {
         let pins =
             |slot: Option<(BlockId, usize)>| matches!(slot, Some((b, n)) if b == block && n < ppb);
@@ -243,6 +290,12 @@ impl AllocState {
 
     fn is_sealed(&self, lpn: u32) -> bool {
         self.sealed.get(lpn as usize).copied().unwrap_or(false)
+    }
+
+    /// Something still reads `lpn` at its recorded place: the sealed
+    /// on-flash image, or an open snapshot.
+    fn is_held(&self, lpn: u32) -> bool {
+        self.is_sealed(lpn) || self.pins.contains_key(&lpn)
     }
 
     /// A block the GC may reclaim: fully allocated (it will never be
@@ -537,23 +590,10 @@ impl PageCache {
         }
     }
 
-    /// Drop the mirror entry for one physical page (about to be
-    /// reprogrammed). Caller holds the volume state lock; the state →
-    /// cache lock order is the only nesting the volume ever uses.
-    fn invalidate(&self, phys: u32) {
-        if !self.enabled() {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("page cache poisoned");
-        if let Some(slot) = inner.map.remove(&phys) {
-            inner.slots[slot].phys = UNMAPPED;
-            inner.slots[slot].referenced = false;
-            inner.free.push(slot);
-        }
-    }
-
-    /// Drop the mirror entries for a physical page range (the block
-    /// about to be erased). Caller holds the volume state lock.
+    /// Drop the mirror entries for a physical page range: the one page
+    /// just programmed, or the block just erased. Caller holds the
+    /// volume state lock; the state → cache lock order is the only
+    /// nesting the volume ever uses.
     fn invalidate_range(&self, first: usize, count: usize) {
         if !self.enabled() {
             return;
@@ -602,7 +642,6 @@ impl Volume {
     /// garbage-collects them.
     pub fn with_reserved(nand: Nand, reserved: usize) -> Self {
         let blocks = nand.block_count();
-        let pages = nand.page_count();
         assert!(
             reserved < blocks,
             "reserved region ({reserved} blocks) swallows the whole part ({blocks} blocks)"
@@ -610,24 +649,7 @@ impl Volume {
         Volume {
             state: Arc::new(Mutex::new(AllocState {
                 free_blocks: (reserved as u32..blocks as u32).map(BlockId).collect(),
-                current: None,
-                gc_current: None,
-                live: vec![0; blocks],
-                allocated: vec![0; blocks],
-                l2p: Vec::new(),
-                free_lpns: Vec::new(),
-                p2l: vec![UNMAPPED; pages],
-                gc: GcStats::default(),
-                sealed: Vec::new(),
-                sealed_in_block: vec![0; blocks],
-                deferred_free: HashSet::new(),
-                pins: HashMap::new(),
-                pin_deferred: HashSet::new(),
-                bad: vec![false; blocks],
-                corrected_reads: vec![0; pages],
-                corrected_total: 0,
-                uncorrectable_total: 0,
-                scrubbed_pages: 0,
+                ..AllocState::blank(blocks, nand.page_count())
             })),
             nand,
             metrics: Arc::new(OnceLock::new()),
@@ -731,24 +753,15 @@ impl Volume {
         Ok(Volume {
             state: Arc::new(Mutex::new(AllocState {
                 free_blocks,
-                current: None,
-                gc_current: None,
                 live,
                 allocated,
                 l2p,
                 free_lpns,
                 p2l,
-                gc: GcStats::default(),
                 sealed,
                 sealed_in_block,
-                deferred_free: HashSet::new(),
-                pins: HashMap::new(),
-                pin_deferred: HashSet::new(),
                 bad,
-                corrected_reads: vec![0; pages],
-                corrected_total: 0,
-                uncorrectable_total: 0,
-                scrubbed_pages: 0,
+                ..AllocState::blank(blocks, pages)
             })),
             nand,
             metrics: Arc::new(OnceLock::new()),
@@ -796,117 +809,73 @@ impl Volume {
     /// The translation table as the durability layer seals it:
     /// `out[lpn]` = current physical page, with deferred-freed pages
     /// already masked out (the image being written no longer references
-    /// them, even though they stay physically intact until
-    /// [`commit_seal`](Self::commit_seal) runs).
+    /// them, even though they stay physically intact for the previous
+    /// image or an open snapshot).
     pub fn l2p_snapshot(&self) -> Vec<u32> {
         let st = self.state.lock().expect("volume poisoned");
         let mut out = st.l2p.clone();
-        for &lpn in &st.deferred_free {
-            out[lpn as usize] = UNMAPPED;
-        }
-        // Pin-deferred pages are equally dead to the image being
-        // sealed: only open snapshots may still read them.
-        for &lpn in &st.pin_deferred {
+        for &lpn in &st.deferred {
             out[lpn as usize] = UNMAPPED;
         }
         out
     }
 
-    /// Rebuild a [`Segment`] handle from its durable [`SegmentManifest`].
+    /// Rebuild a [`Segment`] handle from its durable [`SegmentManifest`]
+    /// (LPN list + byte length). Every LPN must be live in the
+    /// translation table.
     pub fn restore_manifest(&self, m: &SegmentManifest) -> Result<Segment> {
-        self.restore_segment(&m.lpns, m.len)
-    }
-
-    /// Rebuild a [`Segment`] handle from a sealed manifest (LPN list +
-    /// byte length). Every LPN must be live in the translation table.
-    pub fn restore_segment(&self, lpns: &[u32], len_bytes: u64) -> Result<Segment> {
         let ps = self.page_size() as u64;
-        if len_bytes > lpns.len() as u64 * ps || (lpns.len() as u64) > len_bytes.div_ceil(ps) {
+        let pages = m.lpns.len() as u64;
+        if m.len > pages * ps || pages > m.len.div_ceil(ps) {
             return Err(GhostError::corrupt(format!(
-                "segment manifest length {len_bytes} does not fit {} pages",
-                lpns.len()
+                "segment manifest length {} does not fit {pages} pages",
+                m.len
             )));
         }
         let st = self.state.lock().expect("volume poisoned");
-        for &lpn in lpns {
-            match st.l2p.get(lpn as usize) {
-                Some(&p) if p != UNMAPPED => {}
-                _ => {
-                    return Err(GhostError::corrupt(format!(
-                        "segment manifest references unmapped logical page {lpn}"
-                    )))
-                }
-            }
+        if let Some(lpn) = m.lpns.iter().find(|&&lpn| st.mapped(lpn).is_none()) {
+            return Err(GhostError::corrupt(format!(
+                "segment manifest references unmapped logical page {lpn}"
+            )));
         }
         Ok(Segment {
-            pages: Arc::new(lpns.iter().map(|&l| Lpn(l)).collect()),
-            len_bytes,
+            pages: Arc::new(m.lpns.iter().map(|&l| Lpn(l)).collect()),
+            len_bytes: m.len,
         })
     }
 
-    /// Finish a seal: physically release every deferred free (the old
-    /// image's pages — the new image is durable, so they may finally
-    /// die), then pin the entire live set as the new sealed generation.
+    /// Finish a seal. The superseding image is durable, so the old
+    /// generation unseals: every deferred-freed page no snapshot pins
+    /// is physically released (ascending, so the erases this triggers
+    /// come in the same order on every run), and the live set — minus
+    /// the deferred pages a snapshot still keeps readable, which the
+    /// new image no longer references — becomes the new sealed
+    /// generation.
     pub fn commit_seal(&self) -> Result<()> {
-        let deferred: Vec<u32> = {
-            let mut st = self.state.lock().expect("volume poisoned");
-            // Sorted: the set drains in hash order, and the order of the
-            // frees below decides which blocks GC erases first — simulated
-            // time must not depend on it.
-            let mut d: Vec<u32> = st.deferred_free.drain().collect();
-            d.sort_unstable();
-            // Unseal first so free_now treats them as ordinary pages.
-            for &lpn in &d {
-                if st.is_sealed(lpn) {
-                    let phys = st.l2p[lpn as usize];
-                    let b = (phys as usize) / self.nand.config().pages_per_block;
-                    st.sealed[lpn as usize] = false;
-                    st.sealed_in_block[b] -= 1;
-                }
-            }
-            // A page freed under both disciplines (sealed *and*
-            // snapshot-pinned) outlives the seal: hand it to the pin
-            // ledger, to die when the last snapshot drops.
-            let (still_pinned, free): (Vec<u32>, Vec<u32>) =
-                d.into_iter().partition(|lpn| st.pins.contains_key(lpn));
-            st.pin_deferred.extend(still_pinned);
-            free
-        };
-        for lpn in deferred {
-            self.free_now(Lpn(lpn))?;
-        }
-        let mut st = self.state.lock().expect("volume poisoned");
         let ppb = self.nand.config().pages_per_block;
-        // The new sealed generation is the live translation table minus
-        // the pin-deferred pages: those are logically dead (the image
-        // being committed no longer references them), merely kept
-        // readable for open snapshots.
-        let pin_deferred = std::mem::take(&mut st.pin_deferred);
-        st.sealed = st
-            .l2p
-            .iter()
-            .enumerate()
-            .map(|(lpn, &p)| p != UNMAPPED && !pin_deferred.contains(&(lpn as u32)))
-            .collect();
-        let mut per_block = vec![0u32; self.nand.block_count()];
-        for (lpn, &phys) in st.l2p.iter().enumerate() {
-            if phys != UNMAPPED && !pin_deferred.contains(&(lpn as u32)) {
-                per_block[(phys as usize) / ppb] += 1;
+        let mut st = self.state.lock().expect("volume poisoned");
+        let freed: Vec<u32> = st.deferred.iter().copied().collect();
+        for lpn in freed {
+            if st.is_sealed(lpn) {
+                let block = st.l2p[lpn as usize] as usize / ppb;
+                st.sealed[lpn as usize] = false;
+                st.sealed_in_block[block] -= 1;
             }
+            self.settle_freed(&mut st, lpn)?;
         }
+        let mut per_block = vec![0u32; self.nand.block_count()];
+        let sealed = (0..st.l2p.len() as u32)
+            .map(|lpn| {
+                let phys = st.mapped(lpn).filter(|_| !st.deferred.contains(&lpn));
+                if let Some(p) = phys {
+                    per_block[p.index() / ppb] += 1;
+                }
+                phys.is_some()
+            })
+            .collect();
+        st.sealed = sealed;
         st.sealed_in_block = per_block;
-        st.pin_deferred = pin_deferred;
         Ok(())
-    }
-
-    /// Live pages whose release is deferred until the next
-    /// [`commit_seal`](Self::commit_seal) (observability).
-    pub fn deferred_free_pages(&self) -> usize {
-        self.state
-            .lock()
-            .expect("volume poisoned")
-            .deferred_free
-            .len()
     }
 
     /// Pin a set of logical pages on behalf of an open read snapshot:
@@ -922,8 +891,7 @@ impl Volume {
     pub fn pin_pages(&self, lpns: &[u32]) -> Result<()> {
         let mut st = self.state.lock().expect("volume poisoned");
         for &lpn in lpns {
-            let mapped = matches!(st.l2p.get(lpn as usize), Some(&p) if p != UNMAPPED);
-            if !mapped || st.pin_deferred.contains(&lpn) {
+            if st.mapped(lpn).is_none() || st.deferred.contains(&lpn) {
                 return Err(GhostError::flash(format!(
                     "snapshot pin of dead logical page {lpn}"
                 )));
@@ -936,44 +904,40 @@ impl Volume {
     }
 
     /// Drop one pin from each of `lpns` (the snapshot's drop path).
-    /// Pages whose last pin drops *and* whose free was deferred while
-    /// pinned are physically released here — the moment "no snapshot
-    /// can read this" becomes true.
+    /// Pages whose last pin drops *and* whose free was deferred are
+    /// physically released here — unless the sealed image still holds
+    /// them — the moment "no snapshot can read this" becomes true.
     pub fn unpin_pages(&self, lpns: &[u32]) -> Result<()> {
-        let mut release = Vec::new();
-        {
-            let mut st = self.state.lock().expect("volume poisoned");
-            for &lpn in lpns {
-                let Some(count) = st.pins.get_mut(&lpn) else {
-                    return Err(GhostError::flash(format!(
-                        "unpin of logical page {lpn} that holds no pin"
-                    )));
-                };
-                *count -= 1;
-                if *count == 0 {
-                    st.pins.remove(&lpn);
-                    if st.pin_deferred.remove(&lpn) {
-                        release.push(lpn);
-                    }
+        let mut st = self.state.lock().expect("volume poisoned");
+        for &lpn in lpns {
+            let Some(count) = st.pins.get_mut(&lpn) else {
+                return Err(GhostError::flash(format!(
+                    "unpin of logical page {lpn} that holds no pin"
+                )));
+            };
+            *count -= 1;
+            if *count == 0 {
+                st.pins.remove(&lpn);
+                if st.deferred.contains(&lpn) {
+                    self.settle_freed(&mut st, lpn)?;
                 }
             }
-        }
-        for lpn in release {
-            self.free_now(Lpn(lpn))?;
         }
         Ok(())
     }
 
     /// Pin accounting for `device_report()`: distinct snapshot-pinned
-    /// pages, pinned pages whose free is deferred on the pins, and
-    /// pages pinned by the sealed on-flash image.
+    /// pages, pages pinned by the sealed on-flash image, and the
+    /// deferred-free ledger split by who holds each page (the sealed
+    /// image first: a page both sealed and pinned waits for the seal).
     pub fn pin_stats(&self) -> PinStats {
         let st = self.state.lock().expect("volume poisoned");
+        let sealed_deferred = st.deferred.iter().filter(|&&l| st.is_sealed(l)).count();
         PinStats {
             snapshot_pinned: st.pins.len(),
-            snapshot_deferred: st.pin_deferred.len(),
+            snapshot_deferred: st.deferred.len() - sealed_deferred,
             sealed_pinned: st.sealed.iter().filter(|&&s| s).count(),
-            sealed_deferred: st.deferred_free.len(),
+            sealed_deferred,
         }
     }
 
@@ -983,15 +947,10 @@ impl Volume {
     }
 
     /// **Usable** page payload: the raw page minus the out-of-band
-    /// codeword when ECC is enabled. Everything layered on the volume
-    /// (segment sizing, manifests, readers) works in this unit.
+    /// codeword. Everything layered on the volume (segment sizing,
+    /// manifests, readers) works in this unit.
     pub fn page_size(&self) -> usize {
-        let raw = self.nand.config().page_size;
-        if self.nand.config().ecc_enabled {
-            raw - ecc::TAIL_BYTES
-        } else {
-            raw
-        }
+        self.nand.payload_size()
     }
 
     /// Raw (physical) page size — the unit programs and page faults
@@ -1023,27 +982,25 @@ impl Volume {
         }
     }
 
-    /// ECC bookkeeping for a raw page already read into `raw`: verify,
-    /// repair a single-bit error in place, update counters. The caller
-    /// holds the state lock.
-    fn verify_raw(&self, st: &mut AllocState, phys: PageAddr, raw: &mut [u8]) -> Result<()> {
-        if !self.nand.config().ecc_enabled {
-            return Ok(());
-        }
-        self.nand
-            .clock()
-            .advance(self.nand.config().ecc_cost_ns(raw.len()));
-        match ecc::verify_page(raw) {
-            ecc::Verdict::Clean => Ok(()),
-            ecc::Verdict::Corrected => {
+    /// Book the outcome of one codeword check ([`Nand::verify`]) of
+    /// physical page `phys`: reliability counters, the per-page scrub
+    /// trigger, and the clean error past the correction budget.
+    fn note_verdict(&self, st: &mut AllocState, phys: PageAddr, verdict: Verdict) -> Result<()> {
+        match verdict {
+            Verdict::Clean => Ok(()),
+            Verdict::Corrected => {
                 st.corrected_total += 1;
-                st.corrected_reads[phys.index()] += 1;
+                // A reader's page may have migrated since its transfer;
+                // the scrub counter only tracks still-mapped cells.
+                if st.p2l[phys.index()] != UNMAPPED {
+                    st.corrected_reads[phys.index()] += 1;
+                }
                 if let Some(m) = self.metrics.get() {
                     m.ecc_corrected.inc();
                 }
                 Ok(())
             }
-            ecc::Verdict::Uncorrectable => {
+            Verdict::Uncorrectable => {
                 st.uncorrectable_total += 1;
                 if let Some(m) = self.metrics.get() {
                     m.ecc_uncorrectable.inc();
@@ -1078,11 +1035,7 @@ impl Volume {
         loop {
             let phys = self.phys_of(lpn)?;
             if self.cache.copy_page(phys.0, raw) {
-                let mapped = {
-                    let st = self.state.lock().expect("volume poisoned");
-                    st.l2p.get(lpn.0 as usize).copied() == Some(phys.0)
-                };
-                if !mapped {
+                if !self.still_at(lpn, phys) {
                     continue; // migrated mid-copy: retry at the new address
                 }
                 // Served from the mirror: no NAND transfer, no ECC
@@ -1095,28 +1048,31 @@ impl Volume {
                 return Ok(());
             }
             self.nand.read_into(phys, 0, raw)?;
-            {
-                let st = self.state.lock().expect("volume poisoned");
-                if st.l2p.get(lpn.0 as usize).copied() != Some(phys.0) {
-                    continue; // migrated mid-transfer: retry at the new address
-                }
+            if !self.still_at(lpn, phys) {
+                continue; // migrated mid-transfer: retry at the new address
             }
-            let clean = self.verify_faulted(phys, raw)?;
-            if clean {
+            // The codeword check — the CPU-heavy part of a read — runs
+            // unlocked, so concurrent readers never serialize on it.
+            let verdict = self.nand.verify(raw);
+            let mut st = self.state.lock().expect("volume poisoned");
+            if verdict != Verdict::Clean {
+                // Never mirrored: a corrected page must keep
+                // re-correcting on every fault so its per-page counter
+                // can reach the scrub threshold.
+                self.note_verdict(&mut st, phys, verdict)?;
+            } else if st.mapped(lpn.0) == Some(phys) {
                 // Mirror the verified image — under the state lock and
                 // only while the mapping still holds, so the insert
                 // cannot race an erase/program of the same physical
                 // page (those invalidate under the same lock).
-                let st = self.state.lock().expect("volume poisoned");
-                if st.l2p.get(lpn.0 as usize).copied() == Some(phys.0) {
-                    let evicted = self.cache.insert(phys.0, raw);
-                    if evicted > 0 {
-                        if let Some(m) = self.metrics.get() {
-                            m.cache_evictions.add(evicted);
-                        }
+                let evicted = self.cache.insert(phys.0, raw);
+                if evicted > 0 {
+                    if let Some(m) = self.metrics.get() {
+                        m.cache_evictions.add(evicted);
                     }
                 }
             }
+            drop(st);
             self.cache.note_miss();
             if self.cache.enabled() {
                 if let Some(m) = self.metrics.get() {
@@ -1127,47 +1083,11 @@ impl Volume {
         }
     }
 
-    /// ECC bookkeeping for a raw page faulted *outside* the state
-    /// lock: the codeword check (the CPU-heavy part of a read) runs
-    /// unlocked so concurrent readers never serialize on it; only the
-    /// counter updates take the lock. Returns `true` when the codeword
-    /// was clean (or ECC is off) — the condition for mirroring the
-    /// page; a corrected page must keep re-correcting on every fault
-    /// so its per-page counter can reach the scrub threshold.
-    fn verify_faulted(&self, phys: PageAddr, raw: &mut [u8]) -> Result<bool> {
-        if !self.nand.config().ecc_enabled {
-            return Ok(true);
-        }
-        self.nand
-            .clock()
-            .advance(self.nand.config().ecc_cost_ns(raw.len()));
-        match ecc::verify_page(raw) {
-            ecc::Verdict::Clean => Ok(true),
-            ecc::Verdict::Corrected => {
-                let mut st = self.state.lock().expect("volume poisoned");
-                st.corrected_total += 1;
-                // The page may have migrated since the transfer; the
-                // per-page scrub counter only tracks still-mapped cells.
-                if st.p2l[phys.index()] != UNMAPPED {
-                    st.corrected_reads[phys.index()] += 1;
-                }
-                if let Some(m) = self.metrics.get() {
-                    m.ecc_corrected.inc();
-                }
-                Ok(false)
-            }
-            ecc::Verdict::Uncorrectable => {
-                let mut st = self.state.lock().expect("volume poisoned");
-                st.uncorrectable_total += 1;
-                if let Some(m) = self.metrics.get() {
-                    m.ecc_uncorrectable.inc();
-                }
-                Err(GhostError::corrupt(format!(
-                    "uncorrectable bit errors in flash page {} (past the single-bit ECC budget)",
-                    phys.0
-                )))
-            }
-        }
+    /// The optimistic re-check after a transfer: does `lpn` still live
+    /// at `phys`?
+    fn still_at(&self, lpn: Lpn, phys: PageAddr) -> bool {
+        let st = self.state.lock().expect("volume poisoned");
+        st.mapped(lpn.0) == Some(phys)
     }
 
     /// Pull the least-worn block off the free list (wear-aware
@@ -1220,25 +1140,6 @@ impl Volume {
         Lpn(lpn)
     }
 
-    /// Build the raw page image for a payload of at most the usable
-    /// page size: the payload, erased-pattern padding, and the sealed
-    /// codeword when ECC is enabled (charging the encode cost).
-    fn seal_raw(&self, data: &[u8]) -> Vec<u8> {
-        if !self.nand.config().ecc_enabled {
-            return data.to_vec();
-        }
-        debug_assert!(data.len() <= self.page_size());
-        let mut raw = Vec::with_capacity(self.raw_page_size());
-        raw.extend_from_slice(data);
-        raw.resize(self.page_size(), 0xFF);
-        raw.resize(self.raw_page_size(), 0);
-        ecc::seal_page(&mut raw);
-        self.nand
-            .clock()
-            .advance(self.nand.config().ecc_cost_ns(raw.len()));
-        raw
-    }
-
     /// Allocate a frontier page and program the sealed `raw` image into
     /// it, retiring grown-bad blocks as they are discovered: a program
     /// failure marks the in-flight page dead, retires the block
@@ -1253,7 +1154,7 @@ impl Volume {
                     st.corrected_reads[phys.index()] = 0;
                     // A freshly programmed cell must never be served
                     // from a previous life's mirror entry.
-                    self.cache.invalidate(phys.0);
+                    self.cache.invalidate_range(phys.index(), 1);
                     return Ok(phys);
                 }
                 Err(e) => {
@@ -1300,69 +1201,69 @@ impl Volume {
                 "flash part worn out: {retired} blocks retired, spare budget is {budget}"
             )));
         }
-        self.evacuate_block(st, block)
+        // The copy transits the part's page register (copy-back), so
+        // no query RAM scope is charged — and the buffer is this
+        // call's own: a retirement can strike inside another block's
+        // relocation, whose page image must survive it.
+        let mut buf = vec![0u8; self.raw_page_size()];
+        self.evacuate_block(st, block, &mut buf)
     }
 
-    /// Copy every unsealed live page off a just-retired block — GC
-    /// migration without the erase. The copy transits the part's page
-    /// register (copy-back), so no query RAM scope is charged.
-    fn evacuate_block(&self, st: &mut AllocState, block: BlockId) -> Result<()> {
+    /// Move one mapped page to a fresh cell on the cold frontier:
+    /// read → codeword check (repairing a flipped bit, so relocation
+    /// doubles as error scrubbing) → regenerate the codeword → program
+    /// → remap. The only place a live page changes physical address —
+    /// GC migration, bad-block evacuation and scrub all come through
+    /// here. Caller holds the state lock; `buf` is one raw page.
+    fn relocate_page(&self, st: &mut AllocState, src: PageAddr, buf: &mut [u8]) -> Result<()> {
+        let lpn = st.p2l[src.index()];
+        self.nand.read_into(src, 0, buf)?;
+        let verdict = self.nand.verify(buf);
+        self.note_verdict(st, src, verdict)?;
+        self.nand.reseal(buf);
+        let dest = self.program_raw(st, true, buf)?;
+        st.l2p[lpn as usize] = dest.0;
+        st.p2l[dest.index()] = lpn;
+        st.p2l[src.index()] = UNMAPPED;
+        st.live[self.nand.block_of(src).index()] -= 1;
+        Ok(())
+    }
+
+    /// Relocate every live page off `block` except the sealed ones,
+    /// which the image pins in place (a GC victim holds none).
+    fn evacuate_block(&self, st: &mut AllocState, block: BlockId, buf: &mut [u8]) -> Result<()> {
         let ppb = self.nand.config().pages_per_block;
         let first = block.index() * ppb;
-        let mut buf = vec![0u8; self.raw_page_size()];
-        for slot in 0..ppb {
-            let lpn = st.p2l[first + slot];
-            if lpn == UNMAPPED || st.is_sealed(lpn) {
-                continue;
+        for idx in first..first + ppb {
+            let lpn = st.p2l[idx];
+            if lpn != UNMAPPED && !st.is_sealed(lpn) {
+                self.relocate_page(st, PageAddr(idx as u32), buf)?;
             }
-            let src = PageAddr((first + slot) as u32);
-            self.nand.read_into(src, 0, &mut buf)?;
-            self.verify_raw(st, src, &mut buf)?;
-            self.reseal_raw(&mut buf);
-            let dest = self.program_raw(st, true, &buf)?;
-            st.l2p[lpn as usize] = dest.0;
-            st.p2l[dest.index()] = lpn;
-            st.p2l[first + slot] = UNMAPPED;
-            st.live[block.index()] -= 1;
         }
         Ok(())
     }
 
-    /// Erase a fully-dead block and publish it to the free list. An
-    /// erase failure grows the block bad: it is retired (swallowing the
-    /// error — the data was dead anyway) instead of recycled.
-    fn recycle_block(&self, st: &mut AllocState, block: BlockId) -> Result<()> {
+    /// Erase a fully-dead block and publish it to the free list — the
+    /// only erase the volume issues. An erase failure grows the block
+    /// bad: it is retired instead of recycled (the data was dead or
+    /// already copied out, so the error is swallowed) and `Ok(false)`
+    /// says the block did not come back.
+    fn recycle_block(&self, st: &mut AllocState, block: BlockId) -> Result<bool> {
         // Erase before publishing to the free list, so a block is
         // never allocatable while still holding stale data.
         match self.nand.erase(block) {
             Ok(()) => {
-                st.allocated[block.index()] = 0;
-                let first = block.index() * self.nand.config().pages_per_block;
                 let ppb = self.nand.config().pages_per_block;
+                let first = block.index() * ppb;
+                st.allocated[block.index()] = 0;
                 st.corrected_reads[first..first + ppb].fill(0);
                 self.cache.invalidate_range(first, ppb);
                 st.free_blocks.push(block);
-                Ok(())
+                Ok(true)
             }
-            Err(e) if self.nand.is_grown_bad(block) => {
-                let _ = e;
-                self.retire_block(st, block)
-            }
+            Err(_) if self.nand.is_grown_bad(block) => self.retire_block(st, block).map(|()| false),
             Err(e) => Err(e),
         }
-    }
-
-    /// Regenerate the codeword of a raw page about to be re-programmed
-    /// (migration, evacuation, scrub), so a rotted-but-tolerated tail is
-    /// not propagated to the new copy.
-    fn reseal_raw(&self, buf: &mut [u8]) {
-        if !self.nand.config().ecc_enabled {
-            return;
-        }
-        ecc::seal_page(buf);
-        self.nand
-            .clock()
-            .advance(self.nand.config().ecc_cost_ns(buf.len()));
     }
 
     /// Allocate one page on the user frontier and program `data` into it
@@ -1382,7 +1283,7 @@ impl Volume {
         // allocation below use whatever free blocks remain; only if that
         // also fails is the GC failure the better diagnosis.
         let gc_err = if needs_gc { self.gc(scope).err() } else { None };
-        let raw = self.seal_raw(data);
+        let raw = self.nand.seal(data);
         let mut st = self.state.lock().expect("volume poisoned");
         match self.program_raw(&mut st, false, &raw) {
             Ok(phys) => Ok(self.map_lpn(&mut st, phys)),
@@ -1401,99 +1302,57 @@ impl Volume {
     /// Current physical address of a logical page.
     fn phys_of(&self, lpn: Lpn) -> Result<PageAddr> {
         let st = self.state.lock().expect("volume poisoned");
-        match st.l2p.get(lpn.0 as usize) {
-            Some(&p) if p != UNMAPPED => Ok(PageAddr(p)),
-            _ => Err(GhostError::flash(format!(
-                "read through freed logical page {}",
-                lpn.0
-            ))),
-        }
+        st.mapped(lpn.0)
+            .ok_or_else(|| GhostError::flash(format!("read through freed logical page {}", lpn.0)))
     }
 
-    /// Release one logical page. Pages referenced by the sealed on-flash
-    /// image are **deferred**: they stay physically intact (the sealed
-    /// l2p still points at them) and are released by
-    /// [`commit_seal`](Self::commit_seal) once a superseding image is
-    /// durable — the mechanism that keeps a crash mid-flush mountable
-    /// from the previous image.
+    /// Free one logical page. If the sealed on-flash image or an open
+    /// snapshot still holds it the release is **deferred**: the page
+    /// stays physically intact until the last hold drops — the
+    /// mechanism that keeps a crash mid-flush mountable from the
+    /// previous image, and a snapshot readable across a flush.
     fn free_page(&self, lpn: Lpn) -> Result<()> {
-        {
-            let mut st = self.state.lock().expect("volume poisoned");
-            if st.is_sealed(lpn.0) {
-                match st.l2p.get(lpn.0 as usize) {
-                    Some(&p) if p != UNMAPPED => {}
-                    _ => {
-                        return Err(GhostError::flash(format!(
-                            "double free of logical page {}",
-                            lpn.0
-                        )))
-                    }
-                }
-                if !st.deferred_free.insert(lpn.0) {
-                    return Err(GhostError::flash(format!(
-                        "double free of (sealed) logical page {}",
-                        lpn.0
-                    )));
-                }
-                return Ok(());
-            }
-            // Snapshot-pinned pages defer exactly like sealed ones,
-            // except the release trigger is the last unpin rather than
-            // the next commit_seal.
-            if st.pins.contains_key(&lpn.0) {
-                match st.l2p.get(lpn.0 as usize) {
-                    Some(&p) if p != UNMAPPED => {}
-                    _ => {
-                        return Err(GhostError::flash(format!(
-                            "double free of logical page {}",
-                            lpn.0
-                        )))
-                    }
-                }
-                if !st.pin_deferred.insert(lpn.0) {
-                    return Err(GhostError::flash(format!(
-                        "double free of (snapshot-pinned) logical page {}",
-                        lpn.0
-                    )));
-                }
-                return Ok(());
-            }
+        let mut st = self.state.lock().expect("volume poisoned");
+        if st.deferred.contains(&lpn.0) {
+            return Err(GhostError::flash(format!(
+                "double free of (deferred) logical page {}",
+                lpn.0
+            )));
         }
-        self.free_now(lpn)
+        self.settle_freed(&mut st, lpn.0)
     }
 
-    /// The physical release path: unmap, recycle the LPN, and erase the
-    /// block once it is fully allocated and fully dead.
-    fn free_now(&self, lpn: Lpn) -> Result<()> {
+    /// The ledger's one rule, applied to a page that has been freed:
+    /// park it in `deferred` while the sealed image or a snapshot holds
+    /// it; otherwise release it physically — unmap, recycle the LPN,
+    /// and erase the block once it is fully allocated and fully dead.
+    fn settle_freed(&self, st: &mut AllocState, lpn: u32) -> Result<()> {
+        let Some(phys) = st.mapped(lpn) else {
+            return Err(GhostError::flash(format!(
+                "double free of logical page {lpn}"
+            )));
+        };
+        if st.is_held(lpn) {
+            st.deferred.insert(lpn);
+            return Ok(());
+        }
+        st.deferred.remove(&lpn);
         let ppb = self.nand.config().pages_per_block;
-        {
-            let mut st = self.state.lock().expect("volume poisoned");
-            let phys = match st.l2p.get(lpn.0 as usize) {
-                Some(&p) if p != UNMAPPED => PageAddr(p),
-                _ => {
-                    return Err(GhostError::flash(format!(
-                        "double free of logical page {}",
-                        lpn.0
-                    )))
-                }
-            };
-            let block = self.nand.block_of(phys);
-            st.l2p[lpn.0 as usize] = UNMAPPED;
-            st.free_lpns.push(lpn.0);
-            st.p2l[phys.index()] = UNMAPPED;
-            st.live[block.index()] -= 1;
-            let fully_allocated = st.allocated[block.index()] as usize == ppb;
-            // A full block will never be written again, so it is safe to
-            // recycle; only a block still accepting allocations (either
-            // frontier) is pinned. Retired blocks are never erased —
-            // their dead pages are simply lost capacity.
-            let erase = st.live[block.index()] == 0
-                && fully_allocated
-                && !st.bad[block.index()]
-                && !st.is_frontier(block, ppb);
-            if erase {
-                self.recycle_block(&mut st, block)?;
-            }
+        let block = self.nand.block_of(phys);
+        st.l2p[lpn as usize] = UNMAPPED;
+        st.free_lpns.push(lpn);
+        st.p2l[phys.index()] = UNMAPPED;
+        st.live[block.index()] -= 1;
+        // A full block will never be written again, so it is safe to
+        // recycle; only a block still accepting allocations (either
+        // frontier) is pinned. Retired blocks are never erased —
+        // their dead pages are simply lost capacity.
+        let erase = st.live[block.index()] == 0
+            && st.allocated[block.index()] as usize == ppb
+            && !st.bad[block.index()]
+            && !st.is_frontier(block, ppb);
+        if erase {
+            self.recycle_block(st, block)?;
         }
         Ok(())
     }
@@ -1538,10 +1397,7 @@ impl Volume {
     }
 
     /// Migrate `victim`'s live pages to the cold frontier, then erase and
-    /// recycle it. Every page read is ECC-verified (and repaired) before
-    /// the copy, and the codeword is regenerated for the new location —
-    /// migration doubles as error scrubbing. Caller holds the state lock;
-    /// `buf` is one raw page.
+    /// recycle it. Caller holds the state lock; `buf` is one raw page.
     fn migrate_block(
         &self,
         st: &mut AllocState,
@@ -1549,55 +1405,31 @@ impl Volume {
         buf: &mut [u8],
         report: &mut GcStats,
     ) -> Result<()> {
-        let ppb = self.nand.config().pages_per_block;
-        let first = victim.index() * ppb;
-        let dead = (st.allocated[victim.index()] - st.live[victim.index()]) as u64;
-        for slot in 0..ppb {
-            let lpn = st.p2l[first + slot];
-            if lpn == UNMAPPED {
-                continue;
-            }
-            let src = PageAddr((first + slot) as u32);
-            self.nand.read_into(src, 0, buf)?;
-            self.verify_raw(st, src, buf)?;
-            self.reseal_raw(buf);
-            let dest = self.program_raw(st, true, buf)?;
-            st.l2p[lpn as usize] = dest.0;
-            st.p2l[dest.index()] = lpn;
-            st.p2l[first + slot] = UNMAPPED;
-            st.live[victim.index()] -= 1;
-            // Counters update as work happens, so an error later in the
-            // pass cannot lose what this block already cost/recovered.
-            report.pages_migrated += 1;
-            st.gc.pages_migrated += 1;
-        }
+        let live = st.live[victim.index()];
+        let dead = (st.allocated[victim.index()] - live) as u64;
+        let evacuated = self.evacuate_block(st, victim, buf);
+        // Counted from what actually moved, so an error partway through
+        // cannot lose what this block already cost.
+        let migrated = (live - st.live[victim.index()]) as u64;
+        report.pages_migrated += migrated;
+        st.gc.pages_migrated += migrated;
+        evacuated?;
         debug_assert_eq!(st.live[victim.index()], 0, "victim fully migrated");
-        match self.nand.erase(victim) {
-            Ok(()) => {
-                st.allocated[victim.index()] = 0;
-                st.corrected_reads[first..first + ppb].fill(0);
-                self.cache.invalidate_range(first, ppb);
-                st.free_blocks.push(victim);
-                report.blocks_reclaimed += 1;
-                report.pages_reclaimed += dead;
-                st.gc.blocks_reclaimed += 1;
-                st.gc.pages_reclaimed += dead;
-                Ok(())
-            }
-            Err(e) if self.nand.is_grown_bad(victim) => {
-                // The copies are safe; the victim just can't be recycled.
-                let _ = e;
-                self.retire_block(st, victim)
-            }
-            Err(e) => Err(e),
+        // A victim that grew bad on erase is retired, not reclaimed:
+        // the copies are safe, the block just does not come back.
+        if self.recycle_block(st, victim)? {
+            report.blocks_reclaimed += 1;
+            report.pages_reclaimed += dead;
+            st.gc.blocks_reclaimed += 1;
+            st.gc.pages_reclaimed += dead;
         }
+        Ok(())
     }
 
-    /// Run one garbage-collection pass: up to
-    /// [`gc_max_victims_per_pass`](ghostdb_types::FlashConfig::gc_max_victims_per_pass)
-    /// victim blocks are compacted and erased. The one-page copy buffer
-    /// is charged to `scope`. Returns what this pass reclaimed (all
-    /// zeros when nothing was fragmented).
+    /// Run one garbage-collection pass: up to `GC_MAX_VICTIMS_PER_PASS`
+    /// (8) victim blocks are compacted and erased. The one-page copy
+    /// buffer is charged to `scope`. Returns what this pass reclaimed
+    /// (all zeros when nothing was fragmented).
     pub fn gc(&self, scope: &RamScope) -> Result<GcStats> {
         let mut report = GcStats::default();
         let scrub_pending = self.has_scrub_work();
@@ -1607,10 +1439,9 @@ impl Volume {
         let pause_start = self.nand.clock().now();
         let _ram = scope.alloc(self.raw_page_size())?;
         let mut buf = vec![0u8; self.raw_page_size()];
-        let max_victims = self.nand.config().gc_max_victims_per_pass.max(1);
         let mut st = self.state.lock().expect("volume poisoned");
         let mut outcome = Ok(());
-        for _ in 0..max_victims {
+        for _ in 0..GC_MAX_VICTIMS_PER_PASS {
             let wear = self.nand.wear_snapshot();
             let Some(victim) = self.pick_victim(&st, &wear) else {
                 break;
@@ -1644,31 +1475,22 @@ impl Volume {
     /// True if any mapped page's corrected-read count has crossed the
     /// scrub threshold (checked before charging the copy buffer).
     fn has_scrub_work(&self) -> bool {
-        let threshold = self.nand.config().scrub_threshold;
-        if threshold == 0 || !self.nand.config().ecc_enabled {
-            return false;
-        }
         let st = self.state.lock().expect("volume poisoned");
         st.corrected_reads
             .iter()
             .enumerate()
-            .any(|(p, &c)| c >= threshold && st.p2l[p] != UNMAPPED)
+            .any(|(p, &c)| c >= SCRUB_THRESHOLD && st.p2l[p] != UNMAPPED)
     }
 
     /// Rewrite every unsealed mapped page whose corrected-read count has
-    /// crossed [`scrub_threshold`](ghostdb_types::FlashConfig::scrub_threshold)
-    /// to a fresh location before it rots past the single-bit budget.
-    /// Sealed pages cannot move (the image pins them) and are skipped
-    /// until the next seal. Caller holds the state lock; `buf` is one
-    /// raw page.
+    /// crossed [`SCRUB_THRESHOLD`] to a fresh location before it rots
+    /// past the single-bit budget. Sealed pages cannot move (the image
+    /// pins them) and are skipped until the next seal. Caller holds the
+    /// state lock; `buf` is one raw page.
     fn scrub_locked(&self, st: &mut AllocState, buf: &mut [u8]) -> Result<ScrubReport> {
         let mut report = ScrubReport::default();
-        let threshold = self.nand.config().scrub_threshold;
-        if threshold == 0 || !self.nand.config().ecc_enabled {
-            return Ok(report);
-        }
         for idx in 0..st.corrected_reads.len() {
-            if st.corrected_reads[idx] < threshold {
+            if st.corrected_reads[idx] < SCRUB_THRESHOLD {
                 continue;
             }
             let lpn = st.p2l[idx];
@@ -1681,16 +1503,7 @@ impl Volume {
                 report.pages_skipped_sealed += 1;
                 continue;
             }
-            let src = PageAddr(idx as u32);
-            self.nand.read_into(src, 0, buf)?;
-            self.verify_raw(st, src, buf)?;
-            self.reseal_raw(buf);
-            let dest = self.program_raw(st, true, buf)?;
-            let block = self.nand.block_of(src);
-            st.l2p[lpn as usize] = dest.0;
-            st.p2l[dest.index()] = lpn;
-            st.p2l[idx] = UNMAPPED;
-            st.live[block.index()] -= 1;
+            self.relocate_page(st, PageAddr(idx as u32), buf)?;
             st.corrected_reads[idx] = 0;
             st.scrubbed_pages += 1;
             report.pages_rewritten += 1;
@@ -1754,8 +1567,8 @@ impl Volume {
 
     /// Random read of `buf.len()` bytes at byte `offset` into a segment.
     ///
-    /// Costs one partial page read per page touched. The caller provides
-    /// (and has paid for) the destination buffer.
+    /// Costs one page fault per page touched. The caller provides (and
+    /// has paid for) the destination buffer.
     pub fn read_at(&self, segment: &Segment, offset: u64, buf: &mut [u8]) -> Result<()> {
         if offset + buf.len() as u64 > segment.len_bytes {
             return Err(GhostError::flash(format!(
@@ -1766,35 +1579,19 @@ impl Volume {
         }
         let ps = self.page_size() as u64;
         let mut done = 0usize;
-        let mut reg = Vec::new();
+        let mut reg = vec![0u8; self.raw_page_size()];
         while done < buf.len() {
             let pos = offset + done as u64;
             let page_idx = (pos / ps) as usize;
             let in_page = (pos % ps) as usize;
             let chunk = ((ps as usize) - in_page).min(buf.len() - done);
-            let lpn = segment.pages[page_idx];
-            if self.nand.config().ecc_enabled {
-                // The whole codeword must be faulted so the ECC check
-                // can run — a random read costs a full-page transfer,
-                // not just the window — unless the page-cache mirror
-                // already holds the verified image, in which case the
-                // fault costs nothing but a host copy.
-                reg.resize(self.raw_page_size(), 0);
-                self.fault_lpn(lpn, &mut reg)?;
-                buf[done..done + chunk].copy_from_slice(&reg[in_page..in_page + chunk]);
-            } else {
-                // Windowed transfer, re-checked against a concurrent
-                // GC migration exactly like a full-page fault.
-                loop {
-                    let phys = self.phys_of(lpn)?;
-                    self.nand
-                        .read_into(phys, in_page, &mut buf[done..done + chunk])?;
-                    let st = self.state.lock().expect("volume poisoned");
-                    if st.l2p.get(lpn.0 as usize).copied() == Some(phys.0) {
-                        break;
-                    }
-                }
-            }
+            // The whole codeword must be faulted so the ECC check can
+            // run — a random read costs a full-page transfer, not just
+            // the window — unless the page-cache mirror already holds
+            // the verified image, in which case the fault costs nothing
+            // but a host copy.
+            self.fault_lpn(segment.pages[page_idx], &mut reg)?;
+            buf[done..done + chunk].copy_from_slice(&reg[in_page..in_page + chunk]);
             done += chunk;
         }
         Ok(())
@@ -2307,7 +2104,7 @@ mod tests {
         // Seal the current state: every live page is pinned.
         vol.commit_seal().unwrap();
         vol.free(junk.clone()).unwrap();
-        assert_eq!(vol.deferred_free_pages(), 12, "sealed frees defer");
+        assert_eq!(vol.pin_stats().sealed_deferred, 12, "sealed frees defer");
         // Double free of a deferred segment is still caught.
         let err = vol.free(junk).unwrap_err();
         assert!(err.to_string().contains("double free"), "{err}");
@@ -2323,7 +2120,7 @@ mod tests {
         // ...and committing the seal releases them for real: the GC can
         // now compact the fragmented blocks.
         vol.commit_seal().unwrap();
-        assert_eq!(vol.deferred_free_pages(), 0);
+        assert_eq!(vol.pin_stats().sealed_deferred, 0);
         // Fresh (post-commit) state has the keeper sealed again; its
         // blocks are exempt, but all-dead blocks reclaim fine.
         let mut r = vol.reader(&scope, &keeper).unwrap();
@@ -2386,12 +2183,12 @@ mod tests {
         vol.commit_seal().unwrap();
         vol.pin_pages(&lpns).unwrap();
         vol.free(junk.clone()).unwrap();
-        assert_eq!(vol.deferred_free_pages(), 12);
+        assert_eq!(vol.pin_stats().sealed_deferred, 12);
         assert_eq!(vol.pin_stats().snapshot_deferred, 0);
         // Committing the superseding seal hands the still-pinned pages
         // to the pin ledger instead of erasing under the snapshot.
         vol.commit_seal().unwrap();
-        assert_eq!(vol.deferred_free_pages(), 0);
+        assert_eq!(vol.pin_stats().sealed_deferred, 0);
         let pins = vol.pin_stats();
         assert_eq!(pins.snapshot_deferred, 12);
         assert_eq!(
@@ -2406,6 +2203,206 @@ mod tests {
         vol.unpin_pages(&lpns).unwrap();
         assert_eq!(vol.pin_stats().snapshot_deferred, 0);
         assert!(vol.usage().dead_pages >= 12 || vol.usage().free_blocks > 0);
+    }
+
+    /// The reference the merged ledger is checked against: per segment
+    /// (every op here acts on whole segments, so a segment's pages share
+    /// one state), the three facts the rule is stated in.
+    #[derive(Default)]
+    struct LedgerModel {
+        /// Every segment ever written, with its fill byte.
+        segs: Vec<(Segment, u8)>,
+        /// Freed, not yet physically released.
+        freed: BTreeSet<usize>,
+        /// Referenced by the image of the last `commit_seal`.
+        sealed: BTreeSet<usize>,
+        /// Open snapshot pins (count per segment).
+        pins: HashMap<usize, u32>,
+        /// Physically released: unmapped, LPNs recyclable.
+        released: BTreeSet<usize>,
+        /// Released *and* an LPN since reused by a newer segment — the
+        /// old handle now aliases someone else's page, so it is never
+        /// touched again.
+        stale: BTreeSet<usize>,
+    }
+
+    impl LedgerModel {
+        fn held(&self, i: usize) -> bool {
+            self.sealed.contains(&i) || self.pins.contains_key(&i)
+        }
+
+        /// The rule: released exactly when freed ∧ ¬sealed ∧ unpinned.
+        fn settle(&mut self) {
+            for i in self.freed.clone() {
+                if !self.held(i) {
+                    self.freed.remove(&i);
+                    self.released.insert(i);
+                }
+            }
+        }
+
+        fn pages(&self, of: impl Fn(usize) -> bool) -> usize {
+            (0..self.segs.len())
+                .filter(|&i| !self.released.contains(&i) && of(i))
+                .map(|i| self.segs[i].0.page_count())
+                .sum()
+        }
+
+        /// Everything the volume must agree with after any operation.
+        fn check(&self, vol: &Volume, scope: &RamScope) {
+            for (i, (seg, tag)) in self.segs.iter().enumerate() {
+                let mut back = vec![0u8; seg.len() as usize];
+                let read = vol
+                    .reader(scope, seg)
+                    .and_then(|mut r| r.read_exact(&mut back));
+                if !self.released.contains(&i) {
+                    read.unwrap_or_else(|e| panic!("segment {i} must stay readable: {e}"));
+                    assert!(back.iter().all(|b| b == tag), "segment {i} bytes");
+                } else if !self.stale.contains(&i) {
+                    assert!(read.is_err(), "released segment {i} still reads");
+                }
+            }
+            assert_eq!(
+                vol.pin_stats(),
+                PinStats {
+                    snapshot_pinned: self.pages(|i| self.pins.contains_key(&i)),
+                    snapshot_deferred: self
+                        .pages(|i| self.freed.contains(&i) && !self.sealed.contains(&i)),
+                    sealed_pinned: self.pages(|i| self.sealed.contains(&i)),
+                    sealed_deferred: self
+                        .pages(|i| self.freed.contains(&i) && self.sealed.contains(&i)),
+                }
+            );
+            // Physically released exactly when nothing holds the page:
+            // the mapped set is the unfreed plus the deferred, and what
+            // the part has programmed beyond it is dead.
+            let usage = vol.usage();
+            assert_eq!(usage.live_pages as usize, self.pages(|_| true));
+            let programmed = (0..vol.nand().page_count())
+                .filter(|&p| {
+                    vol.nand().page_state(PageAddr(p as u32)).unwrap() == PageState::Programmed
+                })
+                .count();
+            assert_eq!(usage.dead_pages as usize, programmed - self.pages(|_| true));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 48, ..Default::default() })]
+
+        /// Random interleavings of write / free / pin / unpin /
+        /// `commit_seal` / gc on a tiny part, against [`LedgerModel`].
+        #[test]
+        fn ledger_matches_the_three_set_model(
+            ops in proptest::collection::vec(proptest::any::<u32>(), 1..80),
+        ) {
+            let (vol, scope) = setup_cfg(16, 2);
+            let ps = vol.page_size();
+            let mut m = LedgerModel::default();
+            // Open snapshots: the segment each pinned, and its LPNs.
+            let mut snapshots: Vec<(usize, Vec<u32>)> = Vec::new();
+            for op in ops {
+                let pick = (op / 8) as usize;
+                match op % 8 {
+                    // Write 1–3 pages (weighted up so there is something
+                    // to free and pin); the part is kept under half full.
+                    0..=2 if m.pages(|_| true) <= 28 => {
+                        let tag = m.segs.len() as u8;
+                        let mut w = vol.writer(&scope).unwrap();
+                        let wrote = w.write(&vec![tag; ps * (1 + pick % 3)]);
+                        match wrote.and_then(|()| w.finish()) {
+                            Ok(seg) => {
+                                let lpns = seg.manifest().lpns;
+                                for i in m.released.clone() {
+                                    let old = m.segs[i].0.manifest().lpns;
+                                    if old.iter().any(|l| lpns.contains(l)) {
+                                        m.stale.insert(i);
+                                    }
+                                }
+                                m.segs.push((seg, tag));
+                            }
+                            // Sealed blocks are GC-exempt, so a run of
+                            // seals can fragment the part full.
+                            Err(e) => assert!(e.to_string().contains("full"), "{e}"),
+                        }
+                    }
+                    3 | 4 if !m.segs.is_empty() => {
+                        let i = pick % m.segs.len();
+                        if m.stale.contains(&i) {
+                            continue;
+                        }
+                        let res = vol.free(m.segs[i].0.clone());
+                        if m.freed.contains(&i) || m.released.contains(&i) {
+                            let err = res.expect_err("a second free always errors");
+                            assert!(err.to_string().contains("double free"), "{err}");
+                        } else {
+                            res.unwrap();
+                            m.freed.insert(i);
+                        }
+                    }
+                    5 if !m.segs.is_empty() => {
+                        let i = pick % m.segs.len();
+                        if m.stale.contains(&i) {
+                            continue;
+                        }
+                        let lpns = m.segs[i].0.manifest().lpns;
+                        let res = vol.pin_pages(&lpns);
+                        if m.freed.contains(&i) || m.released.contains(&i) {
+                            assert!(res.is_err(), "pin of a freed segment");
+                        } else {
+                            res.unwrap();
+                            *m.pins.entry(i).or_insert(0) += 1;
+                            snapshots.push((i, lpns));
+                        }
+                    }
+                    6 if !snapshots.is_empty() => {
+                        let (i, lpns) = snapshots.swap_remove(pick % snapshots.len());
+                        vol.unpin_pages(&lpns).unwrap();
+                        let count = m.pins.get_mut(&i).unwrap();
+                        *count -= 1;
+                        if *count == 0 {
+                            m.pins.remove(&i);
+                        }
+                    }
+                    7 if pick.is_multiple_of(2) => {
+                        vol.commit_seal().unwrap();
+                        // The old generation unseals, frees settle, and
+                        // what stays mapped and unfreed is sealed anew.
+                        m.sealed.clear();
+                        m.settle();
+                        m.sealed = (0..m.segs.len())
+                            .filter(|i| !m.released.contains(i) && !m.freed.contains(i))
+                            .collect();
+                    }
+                    7 => {
+                        if let Err(e) = vol.gc(&scope) {
+                            assert!(e.to_string().contains("full"), "{e}");
+                        }
+                    }
+                    _ => continue,
+                }
+                m.settle();
+                m.check(&vol, &scope);
+            }
+            // Quiescence: every snapshot drops, two seals commit.
+            for (_, lpns) in snapshots {
+                vol.unpin_pages(&lpns).unwrap();
+            }
+            m.pins.clear();
+            for _ in 0..2 {
+                vol.commit_seal().unwrap();
+                m.sealed.clear();
+                m.settle();
+            }
+            m.sealed = (0..m.segs.len()).filter(|i| !m.released.contains(i)).collect();
+            assert!(m.freed.is_empty());
+            m.check(&vol, &scope);
+            let pins = vol.pin_stats();
+            assert_eq!(
+                (pins.snapshot_pinned, pins.snapshot_deferred, pins.sealed_deferred),
+                (0, 0, 0)
+            );
+        }
     }
 
     #[test]
@@ -2459,8 +2456,9 @@ mod tests {
         assert!(Volume::mount(vol.nand().clone(), 0, l2p, &[99]).is_err());
         // A manifest over unmapped pages is rejected too.
         let vol2 = Volume::mount(vol.nand().clone(), 0, vol.l2p_snapshot(), &[]).unwrap();
-        assert!(vol2.restore_segment(&[42], 64).is_err());
-        assert!(vol2.restore_segment(&[0], 6400).is_err());
+        let manifest = |lpns: Vec<u32>, len| SegmentManifest { lpns, len };
+        assert!(vol2.restore_manifest(&manifest(vec![42], 64)).is_err());
+        assert!(vol2.restore_manifest(&manifest(vec![0], 6400)).is_err());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! body, ping-ponged between the two reserved slots.
 //!
 //! Reliability: every metadata page carries the same out-of-band
-//! codeword the volume uses ([`ghostdb_flash::ecc`]), so a single
-//! flipped bit anywhere in a slot is repaired on read; anything worse
+//! codeword the volume uses ([`Nand::seal`] / [`Nand::verify`]), so a
+//! single flipped bit anywhere in a slot is repaired on read; anything worse
 //! makes the slot parse as invalid and the mount falls back to the
 //! older epoch. Slot blocks that grow bad are dropped from the slot —
 //! the header's block map records which blocks actually hold the image,
@@ -11,7 +11,7 @@
 //! key.
 
 use ghostdb_catalog::{Schema, SchemaStats};
-use ghostdb_flash::{ecc, BlockId, Nand, PageAddr, PageState};
+use ghostdb_flash::{ecc::Verdict, BlockId, Nand, PageAddr, PageState};
 use ghostdb_index::IndexSetManifest;
 use ghostdb_storage::{HiddenManifest, VisibleStore};
 use ghostdb_types::{decode_all, GhostError, LiveSet, Result, Wire};
@@ -105,46 +105,16 @@ impl DeviceImage {
     }
 }
 
-/// Usable payload bytes per metadata page (the codeword tail is
-/// reserved when ECC is on).
-fn page_payload(nand: &Nand) -> usize {
-    let cfg = nand.config();
-    if cfg.ecc_enabled {
-        cfg.page_size - ecc::TAIL_BYTES
-    } else {
-        cfg.page_size
-    }
-}
-
-/// Program `payload` into `addr`, sealing the codeword tail on.
-fn program_meta_page(nand: &Nand, addr: PageAddr, payload: &[u8]) -> Result<()> {
-    let cfg = nand.config();
-    if !cfg.ecc_enabled {
-        return nand.program(addr, payload);
-    }
-    let mut raw = Vec::with_capacity(cfg.page_size);
-    raw.extend_from_slice(payload);
-    raw.resize(cfg.page_size - ecc::TAIL_BYTES, 0xFF);
-    raw.resize(cfg.page_size, 0);
-    ecc::seal_page(&mut raw);
-    nand.clock().advance(cfg.ecc_cost_ns(cfg.page_size));
-    nand.program(addr, &raw)
-}
-
 /// Read a full page through the codeword check: single-bit rot is
 /// repaired, worse returns `Ok(None)` (the caller treats the page as
 /// invalid and falls back to the older slot).
 fn read_meta_page(nand: &Nand, addr: PageAddr) -> Result<Option<Vec<u8>>> {
-    let cfg = nand.config();
-    let mut raw = vec![0u8; cfg.page_size];
+    let mut raw = vec![0u8; nand.config().page_size];
     nand.read_into(addr, 0, &mut raw)?;
-    if cfg.ecc_enabled {
-        nand.clock().advance(cfg.ecc_cost_ns(cfg.page_size));
-        if ecc::verify_page(&mut raw) == ecc::Verdict::Uncorrectable {
-            return Ok(None);
-        }
-        raw.truncate(cfg.page_size - ecc::TAIL_BYTES);
+    if nand.verify(&mut raw) == Verdict::Uncorrectable {
+        return Ok(None);
     }
+    raw.truncate(nand.payload_size());
     Ok(Some(raw))
 }
 
@@ -208,7 +178,7 @@ pub fn write_image(nand: &Nand, epoch: u64, image: &DeviceImage) -> Result<u64> 
             "FlashConfig::meta_slot_blocks exceeds the 32-block slot map",
         ));
     }
-    let per_page = page_payload(nand);
+    let per_page = nand.payload_size();
     if HEADER_BYTES > per_page {
         return Err(GhostError::flash(
             "metadata page payload too small for the superblock header",
@@ -256,7 +226,7 @@ pub fn write_image(nand: &Nand, epoch: u64, image: &DeviceImage) -> Result<u64> 
             .chain(body.chunks(per_page))
             .enumerate()
         {
-            match program_meta_page(nand, pages[i], chunk) {
+            match nand.program(pages[i], &nand.seal(chunk)) {
                 Ok(()) => {}
                 Err(_) if nand.is_grown_bad(nand.block_of(pages[i])) => {
                     grew_bad = true;
@@ -285,7 +255,7 @@ pub fn write_image(nand: &Nand, epoch: u64, image: &DeviceImage) -> Result<u64> 
 fn read_slot(nand: &Nand, slot: usize) -> Result<Option<(u64, Vec<u8>)>> {
     let cfg = nand.config().clone();
     let slots = cfg.meta_slot_blocks;
-    let per_page = page_payload(nand);
+    let per_page = nand.payload_size();
     let first_block = slot * slots;
     // (epoch, body_len, body_crc, block_map)
     let mut candidates: Vec<(u64, usize, u32, u32)> = Vec::new();
@@ -338,7 +308,8 @@ fn read_slot(nand: &Nand, slot: usize) -> Result<Option<(u64, Vec<u8>)>> {
         // The header must sit in the first mapped block, and the map
         // must stay inside the slot.
         let rel = (b - first_block) as u32;
-        if block_map == 0 || block_map.trailing_zeros() != rel || (block_map >> slots) != 0 {
+        let beyond_slot = block_map.checked_shr(slots as u32).unwrap_or(0);
+        if block_map == 0 || block_map.trailing_zeros() != rel || beyond_slot != 0 {
             continue;
         }
         let capacity = (block_map.count_ones() as usize * cfg.pages_per_block - 1) * per_page;

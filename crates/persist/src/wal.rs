@@ -24,14 +24,14 @@
 //! the middle of the log ends replay at the last good record (the
 //! sequence gap proves later records depend on lost state).
 //!
-//! Reliability: when ECC is enabled each WAL page also carries the
-//! volume's out-of-band codeword ([`ghostdb_flash::ecc`]), repairing
-//! single-bit rot on replay; worse rot makes the page parse as torn.
+//! Reliability: each WAL page also carries the volume's out-of-band
+//! codeword ([`Nand::seal`] / [`Nand::verify`]), repairing single-bit
+//! rot on replay; worse rot makes the page parse as torn.
 //! WAL blocks that grow bad during an append are skipped — the record
 //! retries past the bad block, and replay resyncs over the partial
 //! pages the failed attempt left behind.
 
-use ghostdb_flash::{ecc, BlockId, Nand, PageAddr, PageState};
+use ghostdb_flash::{ecc::Verdict, BlockId, Nand, PageAddr, PageState};
 use ghostdb_types::{GhostError, Result};
 
 use crate::crc::crc32;
@@ -83,12 +83,9 @@ impl Wal {
         PageAddr((self.first_block * self.nand.config().pages_per_block + idx) as u32)
     }
 
-    /// Payload bytes per WAL page (codeword tail reserved when ECC is
-    /// on).
+    /// Record-stream bytes per WAL page.
     fn per_page(&self) -> usize {
-        let cfg = self.nand.config();
-        let tail = if cfg.ecc_enabled { ecc::TAIL_BYTES } else { 0 };
-        cfg.page_size - PAGE_HEADER - tail
+        self.nand.payload_size() - PAGE_HEADER
     }
 
     /// A fresh cursor at the head of the region (used right after a
@@ -117,8 +114,7 @@ impl Wal {
     /// [`WalOpen::truncated`].
     pub fn open(nand: Nand, epoch: u64) -> Result<WalOpen> {
         let mut wal = Wal::new(nand, epoch);
-        let cfg = wal.nand.config().clone();
-        let ps = cfg.page_size;
+        let ps = wal.nand.config().page_size;
         let mut records: Vec<Vec<u8>> = Vec::new();
         let mut pending: Vec<u8> = Vec::new();
         let mut in_record = false;
@@ -136,19 +132,12 @@ impl Wal {
             }
             let mut page = vec![0u8; ps];
             wal.nand.read_into(addr, 0, &mut page)?;
-            let usable = if cfg.ecc_enabled {
-                wal.nand.clock().advance(cfg.ecc_cost_ns(ps));
-                if ecc::verify_page(&mut page) == ecc::Verdict::Uncorrectable {
-                    // Rotted past the budget: treat as torn.
-                    in_record = false;
-                    pending.clear();
-                    continue;
-                }
-                &page[..ps - ecc::TAIL_BYTES]
+            let parsed = if wal.nand.verify(&mut page) == Verdict::Uncorrectable {
+                None // rotted past the codeword's budget: treat as torn
             } else {
-                &page[..]
+                parse_page(&page[..wal.nand.payload_size()], epoch, idx as u32)
             };
-            let Some((start, payload)) = parse_page(usable, epoch, idx as u32) else {
+            let Some((start, payload)) = parsed else {
                 // Torn or stale page: any record running through it died.
                 in_record = false;
                 pending.clear();
@@ -273,13 +262,10 @@ impl Wal {
                 let crc = crc32(&[&page[4..], chunk].concat());
                 crc.encode_into(&mut page);
                 page.extend_from_slice(chunk);
-                if cfg.ecc_enabled {
-                    page.resize(cfg.page_size - ecc::TAIL_BYTES, 0xFF);
-                    page.resize(cfg.page_size, 0);
-                    ecc::seal_page(&mut page);
-                    self.nand.clock().advance(cfg.ecc_cost_ns(cfg.page_size));
-                }
-                match self.nand.program(self.page_addr(idx), &page) {
+                match self
+                    .nand
+                    .program(self.page_addr(idx), &self.nand.seal(&page))
+                {
                     Ok(()) => self.next_page += 1,
                     Err(_) if self.nand.is_grown_bad(block) => {
                         skip_block(self);

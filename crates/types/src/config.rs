@@ -8,9 +8,10 @@
 //! * **USB 2.0 full speed**: 12 Mb/s, with 480 Mb/s "envisioned for future
 //!   platforms".
 //!
-//! Every figure-regeneration bench sweeps these knobs (experiment
-//! `EXP-S3`), so they live here rather than being buried in the
-//! substrates.
+//! The `EXP-S3` hardware sweep varies two of them — the bus speed and
+//! the flash write/read ratio ([`FlashConfig::with_write_read_ratio`]);
+//! the rest are the paper's platform, kept in one place rather than
+//! buried in the substrates.
 
 /// Geometry and timing of the simulated NAND flash.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,9 +39,6 @@ pub struct FlashConfig {
     /// volume runs a GC pass before allocating. `0` disables the
     /// allocation-time trigger (explicit `Volume::gc` calls still work).
     pub gc_low_watermark_blocks: usize,
-    /// Upper bound on victim blocks migrated per GC pass, bounding the
-    /// latency a single allocation can absorb.
-    pub gc_max_victims_per_pass: usize,
     /// Erase blocks reserved per **metadata slot** at the head of the
     /// part. The durability layer keeps two slots (written alternately,
     /// so a power cut during one seal leaves the other intact); each
@@ -54,19 +52,11 @@ pub struct FlashConfig {
     /// seals a fresh image. `0` disables durability together with
     /// `meta_slot_blocks`.
     pub wal_blocks: usize,
-    /// Store an out-of-band error-control codeword (CRC-32 detection +
-    /// single-bit correction) in the tail of every programmed page. The
-    /// usable page payload shrinks by the codeword size; every page
-    /// fault verifies (and corrects) before data is served.
-    pub ecc_enabled: bool,
-    /// Cost of computing/checking the codeword, ns per byte covered
-    /// (models a small hardware ECC engine on the secure chip).
+    /// Cost of computing/checking the out-of-band codeword every
+    /// programmed page carries in its tail (CRC-32 detection +
+    /// single-bit correction), ns per byte covered — a small hardware
+    /// ECC engine on the secure chip.
     pub ecc_byte_ns: u64,
-    /// Scrub trigger: once a physical page has needed this many
-    /// corrected reads since it was programmed, the GC's scrub pass
-    /// rewrites it to a fresh location before it rots past the
-    /// single-bit correction budget. `0` disables scrubbing.
-    pub scrub_threshold: u32,
     /// Grown-bad-block budget: how many blocks may be retired to the
     /// bad-block table before the volume reports the part worn out.
     pub spare_blocks: usize,
@@ -98,12 +88,9 @@ impl FlashConfig {
             program_byte_ns: 30,
             erase_block_ns: 2_000_000,
             gc_low_watermark_blocks: 16,
-            gc_max_victims_per_pass: 8,
             meta_slot_blocks: 8,
             wal_blocks: 8,
-            ecc_enabled: true,
             ecc_byte_ns: 2,
-            scrub_threshold: 2,
             spare_blocks: 64,
             // 16 raw pages ≈ 32 KiB of mirror: half the 64 KB device
             // RAM. A paper-scale point probe touches ~11 pages (index
@@ -115,11 +102,8 @@ impl FlashConfig {
     }
 
     /// Cost of computing or checking one page codeword covering `bytes`
-    /// of payload, ns. Zero when ECC is disabled.
+    /// of payload, ns.
     pub fn ecc_cost_ns(&self, bytes: usize) -> u64 {
-        if !self.ecc_enabled {
-            return 0;
-        }
         self.ecc_byte_ns * bytes as u64
     }
 

@@ -354,3 +354,29 @@ fn uninterrupted_run_remounts_complete() {
         assert_eq!(&db.query(sql).unwrap().rows.rows, expect);
     }
 }
+
+/// The slot map is a 32-bit mask, so 32-block metadata slots are the
+/// largest legal configuration — and the one where "does the map stay
+/// inside the slot" shifts by the full bit width. A part sealed with
+/// them must mount (it used to be rejected as "no valid sealed image",
+/// or overflow-panic in debug builds).
+#[test]
+fn thirty_two_block_metadata_slots_seal_and_mount() {
+    let mut config = config();
+    config.flash.meta_slot_blocks = 32;
+    let stmts = ghostdb_sql::parse_statements(DDL).unwrap();
+    let schema = ghostdb_sql::bind_schema(&stmts).unwrap();
+    let mut db = GhostDb::create(DDL, config.clone(), &base_dataset(&schema)).unwrap();
+    db.seal().unwrap();
+    let expect: Vec<_> = PROBES
+        .iter()
+        .map(|sql| db.query(sql).unwrap().rows.rows)
+        .collect();
+    let nand = db.nand().clone();
+    drop(db);
+
+    let db = GhostDb::mount(nand, config).unwrap();
+    for (sql, rows) in PROBES.iter().zip(&expect) {
+        assert_eq!(&db.query(sql).unwrap().rows.rows, rows, "{sql}");
+    }
+}

@@ -3,9 +3,9 @@
 
 mod common;
 
-use ghostdb_flash::{Nand, Volume};
+use ghostdb_flash::{FlashStats, GcStats, Nand, ReliabilityStats, Volume};
 use ghostdb_ram::{RamBudget, RamScope};
-use ghostdb_types::{DeviceConfig, FlashConfig, SimClock};
+use ghostdb_types::{DeviceConfig, FlashConfig, SimClock, TableId};
 use ghostdb_workload::{generate_medical, selectivity_query, MedicalConfig, MEDICAL_DDL};
 
 #[test]
@@ -190,6 +190,41 @@ fn churn_survives_bit_rot_and_grown_bad_blocks() {
     );
     nand.disarm_bit_rot();
     nand.disarm_block_failures();
+
+    // Golden values, captured before the flash layer's PR 14 refactor:
+    // the benchmark never arms a fault, so this run is what holds
+    // evacuation, retirement and the GC's codeword handling to the
+    // same operations and the same simulated time, to the last digit.
+    assert_eq!(nand.clock().now().0, 1_807_953_320);
+    assert_eq!(
+        nand.stats(),
+        FlashStats {
+            page_reads: 425,
+            bytes_read: 27_200,
+            page_programs: 2665,
+            bytes_programmed: 170_560,
+            block_erases: 96,
+        }
+    );
+    assert_eq!(
+        vol.gc_stats(),
+        GcStats {
+            passes: 12,
+            blocks_reclaimed: 96,
+            pages_migrated: 96,
+            pages_reclaimed: 672,
+        }
+    );
+    assert_eq!(
+        rel,
+        ReliabilityStats {
+            corrected: 8,
+            uncorrectable: 0,
+            retired_blocks: 2,
+            spare_blocks: 32,
+            scrubbed_pages: 0,
+        }
+    );
 }
 
 #[test]
@@ -214,8 +249,8 @@ fn simulated_time_is_deterministic() {
     let cfg = MedicalConfig::scaled(2_000);
     let data = generate_medical(&cfg).unwrap();
     let mk = || ghostdb::GhostDb::create(MEDICAL_DDL, DeviceConfig::default_2007(), &data).unwrap();
-    let db1 = mk();
-    let db2 = mk();
+    let mut db1 = mk();
+    let mut db2 = mk();
     let sql = selectivity_query(cfg.date_start, cfg.date_span_days, 0.3);
     let a = db1.query(&sql).unwrap();
     let b = db2.query(&sql).unwrap();
@@ -223,4 +258,30 @@ fn simulated_time_is_deterministic() {
     assert_eq!(a.report.total_ns, b.report.total_ns);
     assert_eq!(a.report.ram_peak, b.report.ram_peak);
     assert_eq!(a.report.flash.page_reads, b.report.flash.page_reads);
+
+    // The write path too: the same DML + flush + seal list programs,
+    // frees and erases in the same order on both, so the clock, the
+    // NAND counters and every block's wear agree exactly.
+    let script = "\
+        DELETE FROM Prescription WHERE PreID < 40; \
+        UPDATE Visit SET Purpose = 'Recheck' WHERE VisID < 25; \
+        DELETE FROM Prescription WHERE Quantity > 8; \
+        UPDATE Prescription SET Quantity = 3 WHERE PreID < 60;";
+    for db in [&mut db1, &mut db2] {
+        db.seal().unwrap();
+        let doctors = db.stats().rows(TableId(0)) as i64;
+        db.execute(&format!(
+            "INSERT INTO Doctor VALUES ({doctors}, 'Dr. New', 'Neurology', 75011, 'France');"
+        ))
+        .unwrap();
+        db.execute(script).unwrap();
+        assert!(db.flush_deltas().unwrap() > 0, "the flush merged the DML");
+        db.execute("UPDATE Visit SET Purpose = 'Followup' WHERE VisID < 10;")
+            .unwrap();
+        db.seal().unwrap();
+    }
+    assert_eq!(db1.clock().now(), db2.clock().now());
+    assert_eq!(db1.nand().stats(), db2.nand().stats());
+    assert_eq!(db1.nand().wear_snapshot(), db2.nand().wear_snapshot());
+    assert_eq!(db1.volume().usage(), db2.volume().usage());
 }

@@ -268,3 +268,175 @@ fn exhausted_spares_are_a_clean_wearout_error() {
     );
     nand.disarm_block_failures();
 }
+
+/// Everything the flash layer's refactors must hold still, in one
+/// comparable value: simulated time, NAND operation counters, GC
+/// counters and reliability counters.
+fn flash_fingerprint(
+    db: &GhostDb,
+) -> (
+    u64,
+    ghostdb_flash::FlashStats,
+    ghostdb_flash::GcStats,
+    ghostdb_flash::ReliabilityStats,
+) {
+    (
+        db.clock().now().0,
+        db.nand().stats(),
+        db.volume().gc_stats(),
+        db.volume().reliability(),
+    )
+}
+
+/// Golden run: seal → armed rot + grown-bad blocks under WAL-logged DML
+/// and re-sealing flushes → torn power cut inside a flush → rot in the
+/// unplugged metadata and WAL pages → mount → replay. The simulated
+/// clock and every flash counter are pinned to the last digit (captured
+/// before the flash layer's PR 14 refactor): evacuation, retirement,
+/// scrub, and the image / WAL codeword paths all run here, and none of
+/// them is visible to the benchmark, which never arms a fault.
+#[test]
+fn seal_rot_cut_mount_replay_is_pinned() {
+    use ghostdb_flash::{FlashStats, GcStats, PageState, ReliabilityStats};
+    use ghostdb_types::{ColumnId, RowId, Value};
+
+    let mut next = lcg(1234);
+    let stmts = ghostdb_sql::parse_statements(DDL).unwrap();
+    let schema = ghostdb_sql::bind_schema(&stmts).unwrap();
+    let mut base = Dataset::empty(&schema);
+    for i in 0..24i64 {
+        base.push_row(TableId(0), child_row(i, &mut next, 8))
+            .unwrap();
+    }
+    for i in 0..40i64 {
+        base.push_row(TableId(1), root_row(i, 24, &mut next))
+            .unwrap();
+    }
+    let queries = [
+        "SELECT Root.rid, Child.tag FROM Root, Child \
+         WHERE Child.tag = 'tag-3' AND Root.cid = Child.cid",
+        "SELECT Child.cid, Child.tag FROM Child WHERE Child.tag >= 'tag-3'",
+        "SELECT Root.rid FROM Root WHERE Root.amt <= 25",
+    ];
+
+    // A part small enough that the allocator's low-watermark GC (and
+    // the scrub pass riding on it) runs, with the page cache off so
+    // every fault pays — and rots — the NAND.
+    let mut cfg = config();
+    cfg.flash.num_blocks = 32;
+    cfg.flash.page_cache_pages = 0;
+    let mut db = GhostDb::create(DDL, cfg.clone(), &base).unwrap();
+    db.seal().unwrap();
+    let nand = db.nand().clone();
+    nand.arm_bit_rot(77, 0.02, 31);
+    nand.arm_program_failures(78, 0.004);
+    nand.arm_erase_failures(79, 0.004);
+
+    let mut children = 24i64;
+    for round in 0..8i64 {
+        let batch: Vec<_> = (0..3)
+            .map(|k| child_row(children + k, &mut next, 8))
+            .collect();
+        children += 3;
+        db.insert_rows(TableId(0), batch).unwrap();
+        // Dense keys: each round's delete below returns Root to 40 rows.
+        db.insert_rows(TableId(1), vec![root_row(40, children, &mut next)])
+            .unwrap();
+        db.update_rows(
+            TableId(0),
+            vec![RowId(round as u32)],
+            vec![(ColumnId(2), Value::Int(round))],
+        )
+        .unwrap();
+        db.delete_rows(TableId(1), vec![RowId(0)]).unwrap();
+        for sql in &queries {
+            db.query(sql).unwrap();
+        }
+        if round % 2 == 1 {
+            db.flush_deltas().unwrap(); // merge + re-seal under armed faults
+        }
+    }
+    assert_eq!(
+        flash_fingerprint(&db),
+        (
+            329_975_025,
+            FlashStats {
+                page_reads: 1376,
+                bytes_read: 352_256,
+                page_programs: 316,
+                bytes_programmed: 80_896,
+                block_erases: 41,
+            },
+            GcStats {
+                passes: 2,
+                blocks_reclaimed: 2,
+                pages_migrated: 12,
+                pages_reclaimed: 4,
+            },
+            ReliabilityStats {
+                corrected: 868,
+                uncorrectable: 0,
+                retired_blocks: 1,
+                spare_blocks: 64,
+                scrubbed_pages: 7,
+            },
+        ),
+        "before the cut"
+    );
+
+    // One more WAL-logged batch, then the key is yanked (torn page)
+    // inside the re-sealing flush.
+    db.insert_rows(TableId(0), vec![child_row(children, &mut next, 8)])
+        .unwrap();
+    nand.arm_power_cut(12, true);
+    assert!(db.flush_deltas().is_err(), "the cut must land in the flush");
+    assert!(nand.power_cut_tripped());
+    drop(db);
+    nand.disarm_power_cut();
+
+    // Unplugged: one bit rots in every third programmed page of the
+    // reserved region (both metadata slots and the WAL).
+    let flash = &cfg.flash;
+    for p in (0..flash.reserved_blocks() * flash.pages_per_block).step_by(3) {
+        let addr = PageAddr(p as u32);
+        if nand.page_state(addr).unwrap() == PageState::Programmed {
+            let bit = (p as u32).wrapping_mul(131) % (flash.page_size as u32 * 8);
+            nand.corrupt_page(addr, bit).unwrap();
+        }
+    }
+
+    let db = GhostDb::mount(nand.clone(), cfg.clone()).unwrap();
+    assert_eq!(
+        db.stats().rows(TableId(0)),
+        children as u64 + 1,
+        "the cut flush's batches replay from the WAL"
+    );
+    for sql in &queries {
+        db.query(sql).unwrap();
+    }
+    // The mounted volume's counters restart; the part's do not.
+    assert_eq!(
+        flash_fingerprint(&db),
+        (
+            346_187_704,
+            FlashStats {
+                page_reads: 1592,
+                bytes_read: 407_552,
+                page_programs: 329,
+                bytes_programmed: 84_224,
+                block_erases: 41,
+            },
+            GcStats::default(),
+            ReliabilityStats {
+                corrected: 48,
+                uncorrectable: 0,
+                retired_blocks: 1,
+                spare_blocks: 64,
+                scrubbed_pages: 0,
+            },
+        ),
+        "after the mount"
+    );
+    nand.disarm_bit_rot();
+    nand.disarm_block_failures();
+}
