@@ -36,7 +36,7 @@
 use crate::nand::Nand;
 
 /// Codeword size appended to every page.
-pub(crate) const TAIL_BYTES: usize = 8;
+const TAIL_BYTES: usize = 8;
 
 /// Outcome of verifying one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

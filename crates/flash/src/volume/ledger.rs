@@ -419,6 +419,16 @@ mod tests {
             }
         }
 
+        /// `commit_seal`: the old generation unseals, frees settle, and
+        /// what stays mapped and unfreed is sealed anew.
+        fn commit_seal(&mut self) {
+            self.sealed.clear();
+            self.settle();
+            self.sealed = (0..self.segs.len())
+                .filter(|i| !self.released.contains(i) && !self.freed.contains(i))
+                .collect();
+        }
+
         fn pages(&self, of: impl Fn(usize) -> bool) -> usize {
             (0..self.segs.len())
                 .filter(|&i| !self.released.contains(&i) && of(i))
@@ -544,13 +554,7 @@ mod tests {
                     }
                     7 if pick.is_multiple_of(2) => {
                         vol.commit_seal().unwrap();
-                        // The old generation unseals, frees settle, and
-                        // what stays mapped and unfreed is sealed anew.
-                        m.sealed.clear();
-                        m.settle();
-                        m.sealed = (0..m.segs.len())
-                            .filter(|i| !m.released.contains(i) && !m.freed.contains(i))
-                            .collect();
+                        m.commit_seal();
                     }
                     7 => {
                         if let Err(e) = vol.gc(&scope) {
@@ -569,10 +573,8 @@ mod tests {
             m.pins.clear();
             for _ in 0..2 {
                 vol.commit_seal().unwrap();
-                m.sealed.clear();
-                m.settle();
+                m.commit_seal();
             }
-            m.sealed = (0..m.segs.len()).filter(|i| !m.released.contains(i)).collect();
             assert!(m.freed.is_empty());
             m.check(&vol, &scope);
             let pins = vol.pin_stats();

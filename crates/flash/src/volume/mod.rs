@@ -274,7 +274,7 @@ impl Volume {
         let blocks = nand.block_count();
         let pages = nand.page_count();
         let ppb = nand.config().pages_per_block;
-        let mut bad = vec![false; blocks];
+        let mut st = AllocState::blank(blocks, pages);
         for &b in bad_blocks {
             if b as usize >= blocks {
                 return Err(GhostError::corrupt(format!(
@@ -285,16 +285,12 @@ impl Volume {
             // durability layer's own remapping; the volume tracks only
             // its half of the part.
             if b as usize >= reserved {
-                bad[b as usize] = true;
+                st.bad[b as usize] = true;
             }
         }
-        let mut p2l = vec![UNMAPPED; pages];
-        let mut live = vec![0u32; blocks];
-        let mut sealed_in_block = vec![0u32; blocks];
-        let mut free_lpns = Vec::new();
         for (lpn, &phys) in l2p.iter().enumerate() {
             if phys == UNMAPPED {
-                free_lpns.push(lpn as u32);
+                st.free_lpns.push(lpn as u32);
                 continue;
             }
             let p = PageAddr(phys);
@@ -303,7 +299,7 @@ impl Volume {
                     "mounted l2p entry {lpn} points at invalid page {phys}"
                 )));
             }
-            if p2l[p.index()] != UNMAPPED {
+            if st.p2l[p.index()] != UNMAPPED {
                 return Err(GhostError::corrupt(format!(
                     "mounted l2p maps page {phys} twice"
                 )));
@@ -313,49 +309,37 @@ impl Volume {
                     "mounted l2p entry {lpn} points at erased page {phys}"
                 )));
             }
-            p2l[p.index()] = lpn as u32;
+            st.p2l[p.index()] = lpn as u32;
             let b = p.index() / ppb;
-            live[b] += 1;
-            sealed_in_block[b] += 1;
+            st.live[b] += 1;
+            st.sealed_in_block[b] += 1;
         }
-        let mut free_blocks = Vec::new();
-        let mut allocated = vec![0u32; blocks];
         for b in reserved..blocks {
-            if bad[b] {
+            if st.bad[b] {
                 // Retired: never allocatable, never erased; treated as
                 // fully allocated so accounting stays consistent.
-                allocated[b] = ppb as u32;
+                st.allocated[b] = ppb as u32;
                 continue;
             }
-            if live[b] > 0 {
-                allocated[b] = ppb as u32;
+            if st.live[b] > 0 {
+                st.allocated[b] = ppb as u32;
                 continue;
             }
             let first = b * ppb;
             let fully_erased = (first..first + ppb)
                 .all(|p| matches!(nand.page_state(PageAddr(p as u32)), Ok(PageState::Erased)));
             if fully_erased {
-                free_blocks.push(BlockId(b as u32));
+                st.free_blocks.push(BlockId(b as u32));
             } else {
                 // Stale programmed pages with no owner: all-dead, fully
                 // allocated, so the GC erases the block when picked.
-                allocated[b] = ppb as u32;
+                st.allocated[b] = ppb as u32;
             }
         }
-        let sealed = l2p.iter().map(|&p| p != UNMAPPED).collect();
+        st.sealed = l2p.iter().map(|&p| p != UNMAPPED).collect();
+        st.l2p = l2p;
         Ok(Volume {
-            state: Arc::new(Mutex::new(AllocState {
-                free_blocks,
-                live,
-                allocated,
-                l2p,
-                free_lpns,
-                p2l,
-                sealed,
-                sealed_in_block,
-                bad,
-                ..AllocState::blank(blocks, pages)
-            })),
+            state: Arc::new(Mutex::new(st)),
             nand,
             metrics: Arc::new(OnceLock::new()),
             cache: Arc::new(PageCache::disabled()),

@@ -9,7 +9,7 @@ mod common;
 
 use common::{child_row, root_row};
 use ghostdb::GhostDb;
-use ghostdb_flash::PageAddr;
+use ghostdb_flash::{FlashStats, GcStats, PageAddr, ReliabilityStats};
 use ghostdb_storage::Dataset;
 use ghostdb_types::{DeviceConfig, TableId};
 use proptest::prelude::*;
@@ -272,14 +272,7 @@ fn exhausted_spares_are_a_clean_wearout_error() {
 /// Everything the flash layer's refactors must hold still, in one
 /// comparable value: simulated time, NAND operation counters, GC
 /// counters and reliability counters.
-fn flash_fingerprint(
-    db: &GhostDb,
-) -> (
-    u64,
-    ghostdb_flash::FlashStats,
-    ghostdb_flash::GcStats,
-    ghostdb_flash::ReliabilityStats,
-) {
+fn flash_fingerprint(db: &GhostDb) -> (u64, FlashStats, GcStats, ReliabilityStats) {
     (
         db.clock().now().0,
         db.nand().stats(),
@@ -297,7 +290,7 @@ fn flash_fingerprint(
 /// them is visible to the benchmark, which never arms a fault.
 #[test]
 fn seal_rot_cut_mount_replay_is_pinned() {
-    use ghostdb_flash::{FlashStats, GcStats, PageState, ReliabilityStats};
+    use ghostdb_flash::PageState;
     use ghostdb_types::{ColumnId, RowId, Value};
 
     let mut next = lcg(1234);
