@@ -3,10 +3,13 @@
 
 mod common;
 
-use ghostdb_flash::{FlashStats, GcStats, Nand, ReliabilityStats, Volume};
+use ghostdb_flash::{FlashStats, GcStats, Nand, PageAddr, PageState, ReliabilityStats, Volume};
 use ghostdb_ram::{RamBudget, RamScope};
 use ghostdb_types::{DeviceConfig, FlashConfig, SimClock, TableId};
-use ghostdb_workload::{generate_medical, selectivity_query, MedicalConfig, MEDICAL_DDL};
+use ghostdb_workload::{
+    generate_medical, generate_scale, selectivity_query, MedicalConfig, ScaleConfig, MEDICAL_DDL,
+    SCALE_DDL,
+};
 
 #[test]
 fn repeated_spilling_queries_do_not_exhaust_flash() {
@@ -284,4 +287,92 @@ fn simulated_time_is_deterministic() {
     assert_eq!(db1.nand().stats(), db2.nand().stats());
     assert_eq!(db1.nand().wear_snapshot(), db2.nand().wear_snapshot());
     assert_eq!(db1.volume().usage(), db2.volume().usage());
+}
+
+/// What a load left on the part: the simulated clock (ns), the NAND
+/// counters, the number of programmed pages, and a 64-bit FNV-1a hash
+/// over `(page index, bytes)` of every programmed page in index order.
+/// The clock and counters are taken first: hashing reads every page,
+/// which charges the clock.
+fn part_fingerprint(nand: &Nand) -> (u64, FlashStats, usize, u64) {
+    let clock = nand.clock().now().0;
+    let stats = nand.stats();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut programmed = 0;
+    let mut page = vec![0u8; nand.config().page_size];
+    for p in 0..nand.page_count() as u32 {
+        if nand.page_state(PageAddr(p)).unwrap() == PageState::Programmed {
+            programmed += 1;
+            nand.read_into(PageAddr(p), 0, &mut page).unwrap();
+            eat(&p.to_le_bytes());
+            eat(&page);
+        }
+    }
+    (clock, stats, programmed, hash)
+}
+
+/// The secure bulk load writes the same bytes to the same pages in the
+/// same order, at the same simulated cost, as the load these constants
+/// were captured from — and so does the first seal after it. Two loads:
+/// the medical schema (ancestor climbing levels, key indexes, SKTs,
+/// hidden and visible text) and the flat scale table (a hidden `CHAR`
+/// column with nearly one distinct value per row).
+#[test]
+fn bulk_load_writes_pinned_bytes() {
+    let medical = generate_medical(&MedicalConfig::scaled(20_000)).unwrap();
+    let scale = generate_scale(&ScaleConfig::scaled(20_000)).unwrap();
+    let stats = |reads: u64, programs: u64, erases: u64| FlashStats {
+        page_reads: reads,
+        bytes_read: reads * 2048,
+        page_programs: programs,
+        bytes_programmed: programs * 2048,
+        block_erases: erases,
+    };
+    // Golden values, captured before the load was rewritten to sort
+    // instead of hash and the part began allocating blocks lazily.
+    let golden = [
+        (
+            MEDICAL_DDL,
+            &medical,
+            (
+                750_059_072,
+                stats(0, 1127, 0),
+                1127,
+                6_829_137_525_461_809_202,
+            ),
+            (
+                1_022_540_056,
+                stats(1127, 1366, 8),
+                1366,
+                15_149_209_746_411_857_999,
+            ),
+        ),
+        (
+            SCALE_DDL,
+            &scale,
+            (
+                355_396_224,
+                stats(0, 534, 0),
+                534,
+                7_035_805_654_173_515_666,
+            ),
+            (
+                538_682_736,
+                stats(534, 716, 8),
+                716,
+                12_217_253_138_367_284_484,
+            ),
+        ),
+    ];
+    for (ddl, data, loaded, sealed) in golden {
+        let mut db = ghostdb::GhostDb::create(ddl, DeviceConfig::default_2007(), data).unwrap();
+        assert_eq!(part_fingerprint(db.nand()), loaded, "after the load");
+        db.seal().unwrap();
+        assert_eq!(part_fingerprint(db.nand()), sealed, "after the first seal");
+    }
 }
