@@ -81,9 +81,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use ghostdb_bus::{Bus, BusMetrics};
-use ghostdb_catalog::{
-    ColumnRef, ColumnRole, ColumnStats, Histogram, Predicate, Schema, TreeSchema,
-};
+use ghostdb_catalog::{ColumnRef, ColumnRole, ColumnStats, Predicate, Schema, TreeSchema};
 use ghostdb_exec::{execute, ExecReport, PipelineMode, QuerySpec, ResultSet};
 use ghostdb_flash::{Nand, Volume, VolumeMetrics};
 use ghostdb_index::IndexSet;
@@ -977,22 +975,13 @@ impl GhostDb {
                     while let Some((_, k)) = scan.next_entry()? {
                         keys.push(k);
                     }
-                    keys.sort_unstable();
-                    let n = keys.len() as u64;
-                    let distinct = 1 + keys.windows(2).filter(|w| w[0] != w[1]).count() as u64;
-                    let histogram = match cdef.ty {
-                        DataType::Integer | DataType::Date => {
-                            Some(Histogram::build(keys, STATS_BUCKETS))
-                        }
+                    let buckets = match cdef.ty {
+                        DataType::Integer | DataType::Date => Some(STATS_BUCKETS),
                         // Dictionary codes are ranks, not order keys of
                         // the value domain: no histogram (as at load).
                         DataType::Char(_) => None,
                     };
-                    ColumnStats {
-                        rows: n,
-                        distinct: if n == 0 { 0 } else { distinct },
-                        histogram,
-                    }
+                    ColumnStats::from_keys(keys, buckets)
                 } else {
                     let values: Vec<Value> = read
                         .pc_link

@@ -1,4 +1,14 @@
 //! Raw NAND array: pages, blocks, erase-before-program discipline.
+//!
+//! The part is materialized lazily, one erase block at a time. A block
+//! that holds no buffer reads as all `0xFF`, exactly as an erased block
+//! does. The first byte that lands in a block — a program, torn or
+//! failed program, [`Nand::corrupt_page`] or a rot flip — allocates it
+//! as erased, and a successful erase drops the buffer again, so host
+//! memory tracks the blocks that hold data rather than the part's size.
+//! This is host-side bookkeeping only: page states, wear, the fault
+//! injectors, [`FlashStats`] and every clock charge are the same as on
+//! a fully allocated array.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -80,8 +90,9 @@ struct AtomicStats {
 }
 
 struct NandState {
-    /// Flat byte array: block-major, page-major.
-    data: Vec<u8>,
+    /// One page-major buffer per erase block; `None` reads as all `0xFF`.
+    /// Invariant: a block without a buffer has every byte erased.
+    blocks: Vec<Option<Box<[u8]>>>,
     /// Per-page state.
     pages: Vec<PageState>,
     /// Per-block erase count (wear).
@@ -109,6 +120,17 @@ struct NandState {
     rot_flips: Vec<u8>,
     /// Total rot flips injected (observability for fault tests).
     flips_injected: u64,
+}
+
+impl NandState {
+    /// The bytes of page `idx`, materializing its block as erased first.
+    fn page_mut(&mut self, cfg: &FlashConfig, idx: usize) -> &mut [u8] {
+        let ppb = cfg.pages_per_block;
+        let block = self.blocks[idx / ppb]
+            .get_or_insert_with(|| vec![0xFF; ppb * cfg.page_size].into_boxed_slice());
+        let base = (idx % ppb) * cfg.page_size;
+        &mut block[base..base + cfg.page_size]
+    }
 }
 
 /// Deterministic splitmix64 step — the seedable fault model's PRNG.
@@ -195,7 +217,7 @@ impl Nand {
         let pages = cfg.num_blocks * cfg.pages_per_block;
         Nand {
             state: Arc::new(Mutex::new(NandState {
-                data: vec![0xFF; pages * cfg.page_size],
+                blocks: vec![None; cfg.num_blocks],
                 pages: vec![PageState::Erased; pages],
                 wear: vec![0; cfg.num_blocks],
                 power_cut: None,
@@ -266,8 +288,14 @@ impl Nand {
         if state.bit_rot.is_some() {
             self.inject_rot(&mut state, page);
         }
-        let base = page.index() * self.cfg.page_size + offset;
-        buf.copy_from_slice(&state.data[base..base + buf.len()]);
+        let ppb = self.cfg.pages_per_block;
+        match &state.blocks[page.index() / ppb] {
+            Some(block) => {
+                let base = (page.index() % ppb) * self.cfg.page_size + offset;
+                buf.copy_from_slice(&block[base..base + buf.len()]);
+            }
+            None => buf.fill(0xFF),
+        }
         drop(state);
         self.stats.page_reads.fetch_add(1, Ordering::Relaxed);
         self.stats
@@ -398,8 +426,7 @@ impl Nand {
             return Err(GhostError::flash("corrupt_page: bit out of range"));
         }
         let mut state = self.state.lock().expect("nand poisoned");
-        let base = page.index() * self.cfg.page_size;
-        state.data[base + (bit as usize >> 3)] ^= 1 << (bit & 7);
+        state.page_mut(&self.cfg, page.index())[bit as usize >> 3] ^= 1 << (bit & 7);
         Ok(())
     }
 
@@ -440,8 +467,7 @@ impl Nand {
         if state.rot_flips[idx] >= 1 {
             return;
         }
-        let base = idx * cfg.page_size;
-        state.data[base + (bit >> 3)] ^= 1 << (bit & 7);
+        state.page_mut(cfg, idx)[bit >> 3] ^= 1 << (bit & 7);
         state.rot_flips[idx] += 1;
         state.flips_injected += 1;
     }
@@ -494,8 +520,7 @@ impl Nand {
         if !Self::power_gate(&mut state)? {
             // Torn write: half the page commits, then the lights go out.
             let half = data.len() / 2;
-            let base = page.index() * self.cfg.page_size;
-            state.data[base..base + half].copy_from_slice(&data[..half]);
+            state.page_mut(&self.cfg, page.index())[..half].copy_from_slice(&data[..half]);
             state.pages[page.index()] = PageState::Programmed;
             return Err(GhostError::flash(POWER_CUT_MSG));
         }
@@ -507,15 +532,13 @@ impl Nand {
                 // the page counts as programmed (it cannot be reused
                 // without an erase), and the block is grown bad for good.
                 let half = data.len() / 2;
-                let base = page.index() * self.cfg.page_size;
-                state.data[base..base + half].copy_from_slice(&data[..half]);
+                state.page_mut(&self.cfg, page.index())[..half].copy_from_slice(&data[..half]);
                 state.pages[page.index()] = PageState::Programmed;
                 state.grown_bad[block] = true;
                 return Err(GhostError::flash(PROGRAM_FAIL_MSG));
             }
         }
-        let base = page.index() * self.cfg.page_size;
-        state.data[base..base + data.len()].copy_from_slice(data);
+        state.page_mut(&self.cfg, page.index())[..data.len()].copy_from_slice(data);
         // Remaining bytes keep their erased 0xFF pattern.
         state.pages[page.index()] = PageState::Programmed;
         state.rot_flips[page.index()] = 0;
@@ -552,8 +575,9 @@ impl Nand {
                 state.pages[p] = PageState::Erased;
                 state.rot_flips[p] = 0;
             }
-            let base = first * self.cfg.page_size;
-            state.data[base..base + half * self.cfg.page_size].fill(0xFF);
+            if let Some(buf) = &mut state.blocks[block.index()] {
+                buf[..half * self.cfg.page_size].fill(0xFF);
+            }
             state.wear[block.index()] += 1;
             return Err(GhostError::flash(POWER_CUT_MSG));
         }
@@ -573,9 +597,7 @@ impl Nand {
             state.pages[p] = PageState::Erased;
             state.rot_flips[p] = 0;
         }
-        let base = first * self.cfg.page_size;
-        let len = self.cfg.pages_per_block * self.cfg.page_size;
-        state.data[base..base + len].fill(0xFF);
+        state.blocks[block.index()] = None;
         state.wear[block.index()] += 1;
         drop(state);
         self.stats.block_erases.fetch_add(1, Ordering::Relaxed);
@@ -587,6 +609,27 @@ impl Nand {
     pub fn page_state(&self, page: PageAddr) -> Result<PageState> {
         self.check_page(page)?;
         Ok(self.state.lock().expect("nand poisoned").pages[page.index()])
+    }
+
+    /// True when every page of `block` is erased (page states, not
+    /// buffer presence: a torn erase can leave an erased page in a
+    /// materialized block). One lock for the whole block, for the
+    /// volume's mount-time free-block scan. `false` out of range.
+    pub(crate) fn block_fully_erased(&self, block: BlockId) -> bool {
+        if block.index() >= self.cfg.num_blocks {
+            return false;
+        }
+        let first = block.index() * self.cfg.pages_per_block;
+        self.state.lock().expect("nand poisoned").pages[first..first + self.cfg.pages_per_block]
+            .iter()
+            .all(|&p| p == PageState::Erased)
+    }
+
+    /// Erase blocks currently holding a host buffer.
+    #[cfg(test)]
+    pub(crate) fn resident_blocks(&self) -> usize {
+        let state = self.state.lock().expect("nand poisoned");
+        state.blocks.iter().filter(|b| b.is_some()).count()
     }
 
     /// Erase count of one block.
@@ -912,5 +955,101 @@ mod tests {
         nand.read_into(PageAddr(0), 0, &mut buf).unwrap();
         assert_eq!(buf, [0x00, 0x04]);
         assert!(nand.corrupt_page(PageAddr(0), 64 * 8).is_err());
+    }
+
+    #[test]
+    fn a_fresh_part_allocates_no_block() {
+        // 64 back-to-back default parts (64 GiB if filled eagerly) each
+        // hold no block buffer.
+        for _ in 0..64 {
+            let nand = Nand::new(FlashConfig::default_2007(), SimClock::new());
+            assert_eq!(nand.resident_blocks(), 0);
+        }
+        let nand = Nand::new(FlashConfig::default_2007(), SimClock::new());
+        let mut buf = vec![0u8; 2048];
+        nand.read_into(PageAddr(nand.page_count() as u32 - 1), 0, &mut buf)
+            .unwrap();
+        assert_eq!(buf, vec![0xFF; 2048]);
+        assert_eq!(nand.resident_blocks(), 0, "a read materializes nothing");
+        assert_eq!(nand.stats().page_reads, 1, "and is still charged");
+    }
+
+    #[test]
+    fn program_materializes_one_block_and_erase_releases_it() {
+        let nand = small();
+        nand.program(PageAddr(5), &[1; 64]).unwrap();
+        nand.program(PageAddr(6), &[2; 64]).unwrap();
+        assert_eq!(nand.resident_blocks(), 1);
+        let mut buf = [0u8; 64];
+        nand.read_into(PageAddr(4), 0, &mut buf).unwrap();
+        assert_eq!(buf, [0xFF; 64], "the rest of the block reads erased");
+        nand.erase(BlockId(1)).unwrap();
+        assert_eq!(nand.resident_blocks(), 0);
+        nand.read_into(PageAddr(5), 0, &mut buf).unwrap();
+        assert_eq!(buf, [0xFF; 64]);
+        assert_eq!(nand.wear(BlockId(1)).unwrap(), 1);
+    }
+
+    #[test]
+    fn faults_on_never_programmed_blocks_behave_as_on_erased_bytes() {
+        // Torn program: half the page lands in a freshly erased block.
+        let nand = small();
+        nand.arm_power_cut(0, true);
+        assert!(nand.program(PageAddr(9), &[7; 64]).is_err());
+        nand.disarm_power_cut();
+        assert_eq!(nand.resident_blocks(), 1);
+        let mut buf = [0u8; 64];
+        nand.read_into(PageAddr(9), 0, &mut buf).unwrap();
+        assert_eq!((&buf[..32], &buf[32..]), (&[7; 32][..], &[0xFF; 32][..]));
+
+        // Torn erase of a block that never held data: pages reset,
+        // wear counts, nothing is allocated.
+        nand.arm_power_cut(0, true);
+        assert!(nand.erase(BlockId(5)).is_err());
+        nand.disarm_power_cut();
+        assert_eq!(nand.resident_blocks(), 1);
+        assert_eq!(nand.wear(BlockId(5)).unwrap(), 1);
+
+        // Program failure: half the page lands, the block grows bad.
+        nand.arm_program_failures(1, 1.0);
+        assert!(nand.program(PageAddr(12), &[3; 64]).is_err());
+        nand.disarm_block_failures();
+        assert!(nand.is_grown_bad(BlockId(3)));
+        assert_eq!(nand.resident_blocks(), 2);
+        nand.read_into(PageAddr(12), 0, &mut buf).unwrap();
+        assert_eq!((&buf[..32], &buf[32..]), (&[3; 32][..], &[0xFF; 32][..]));
+
+        // corrupt_page flips a bit of the erased pattern.
+        nand.corrupt_page(PageAddr(16), 10).unwrap();
+        assert_eq!(nand.resident_blocks(), 3);
+        nand.read_into(PageAddr(16), 0, &mut buf[..2]).unwrap();
+        assert_eq!(buf[..2], [0xFF, 0xFB]);
+
+        // Retention and disturb only rot programmed pages: reads of a
+        // never-programmed block under the harshest rot stay clean.
+        nand.arm_bit_rot(5, 1.0, 1);
+        for _ in 0..16 {
+            nand.read_into(PageAddr(28), 0, &mut buf).unwrap();
+            assert_eq!(buf, [0xFF; 64]);
+        }
+        assert_eq!(nand.flips_injected(), 0);
+        assert_eq!(nand.resident_blocks(), 3);
+    }
+
+    #[test]
+    fn block_fully_erased_reads_page_states() {
+        let nand = small();
+        assert!(nand.block_fully_erased(BlockId(0)));
+        nand.program(PageAddr(1), &[1; 64]).unwrap();
+        assert!(!nand.block_fully_erased(BlockId(0)));
+        assert!(nand.block_fully_erased(BlockId(1)));
+        // A torn erase resets the programmed page in a block that keeps
+        // its buffer: page states decide, not buffer presence.
+        nand.arm_power_cut(0, true);
+        assert!(nand.erase(BlockId(0)).is_err());
+        nand.disarm_power_cut();
+        assert_eq!(nand.resident_blocks(), 1);
+        assert!(nand.block_fully_erased(BlockId(0)));
+        assert!(!nand.block_fully_erased(BlockId(8)), "out of range");
     }
 }

@@ -325,10 +325,7 @@ impl Volume {
                 st.allocated[b] = ppb as u32;
                 continue;
             }
-            let first = b * ppb;
-            let fully_erased = (first..first + ppb)
-                .all(|p| matches!(nand.page_state(PageAddr(p as u32)), Ok(PageState::Erased)));
-            if fully_erased {
+            if nand.block_fully_erased(BlockId(b as u32)) {
                 st.free_blocks.push(BlockId(b as u32));
             } else {
                 // Stale programmed pages with no owner: all-dead, fully

@@ -94,6 +94,17 @@ enum IndexDelta {
     ByKey(BTreeMap<u64, Vec<Vec<u32>>>),
 }
 
+impl IndexDelta {
+    /// No pending postings, in the shape the index's directory takes.
+    fn empty(dense: bool) -> IndexDelta {
+        if dense {
+            IndexDelta::ByKey(BTreeMap::new())
+        } else {
+            IndexDelta::ByValue(Vec::new())
+        }
+    }
+}
+
 /// A climbing index: an immutable flash base plus a RAM delta, plus —
 /// since updates exist — per-level **suppression sets** of base posting
 /// ids whose indexed value was overwritten (each id appears under
@@ -142,10 +153,7 @@ impl ClimbingIndex {
     ) -> Result<ClimbingIndex> {
         let table = cref.table;
         let values = &data.tables[table.index()].columns[cref.column.index()];
-        let keys: Vec<u64> = values
-            .iter()
-            .map(|v| encoders.key_of(table, cref.column, v))
-            .collect::<Result<_>>()?;
+        let keys = encoders.keys(table, cref.column, values)?;
         Self::build_from_keys(volume, scope, tree, data, table, &keys, false)
     }
 
@@ -174,65 +182,75 @@ impl ClimbingIndex {
     ) -> Result<ClimbingIndex> {
         let levels = tree.climb_path(table);
         let root = tree.root();
-        // Host-side (secure load): group per key, per level.
-        use std::collections::BTreeMap;
-        let mut groups: BTreeMap<u64, Vec<Vec<u32>>> = BTreeMap::new();
         let n_levels = levels.len();
+        // Host-side (secure load): one `key << 32 | id` pair per posting
+        // and level, sorted, so each key's list is a run — ids ascending
+        // and adjacent duplicates (one ancestor reached through several
+        // root rows) dropped by `dedup`.
+        let pair = |key: u64, id: u32| (key as u128) << 32 | id as u128;
+        let mut runs: Vec<Vec<u128>> = Vec::with_capacity(n_levels);
         // Level 0: the table's own rows.
-        for (r, &k) in keys.iter().enumerate() {
-            groups
-                .entry(k)
-                .or_insert_with(|| vec![Vec::new(); n_levels])[0]
-                .push(r as u32);
-        }
+        runs.push((0u32..).zip(keys).map(|(r, &k)| pair(k, r)).collect());
         // Ancestor levels come from one pass over the root's wide rows.
         if n_levels > 1 {
             let wide = wide_rows(tree, data, data.tables.len(), root)?;
             let t_ids = wide[table.index()]
                 .as_ref()
                 .ok_or_else(|| GhostError::catalog("table missing from root subtree"))?;
-            for (root_row, &t_id) in t_ids.iter().enumerate() {
-                let k = keys[t_id as usize];
-                let lists = groups.get_mut(&k).expect("level-0 pass created every key");
-                for (li, lt) in levels.iter().enumerate().skip(1) {
-                    let id = if *lt == root {
-                        root_row as u32
-                    } else {
-                        wide[lt.index()]
-                            .as_ref()
-                            .ok_or_else(|| GhostError::catalog("level missing from subtree"))?
-                            [root_row]
-                    };
-                    lists[li].push(id);
-                }
+            for lt in levels.iter().skip(1) {
+                // `wide[root]` is the identity, so the root level needs
+                // no case of its own.
+                let ids = wide[lt.index()]
+                    .as_ref()
+                    .ok_or_else(|| GhostError::catalog("level missing from subtree"))?;
+                runs.push(
+                    t_ids
+                        .iter()
+                        .zip(ids)
+                        .map(|(&t_id, &id)| pair(keys[t_id as usize], id))
+                        .collect(),
+                );
             }
         }
-        if dense {
-            // Dense directories must cover every key 0..n exactly once.
-            debug_assert_eq!(groups.len(), keys.len());
+        for run in &mut runs {
+            run.sort_unstable();
+            run.dedup();
         }
-        // Write postings + directory.
+        // Write postings + directory: one merge walk over the levels,
+        // keyed by level 0, which holds every key (ancestor levels hold
+        // a subset, possibly empty for a key).
         let mut postings_w = volume.writer(scope)?;
         let mut dir_w = volume.writer(scope)?;
         let mut level_postings = vec![0u64; n_levels];
+        let mut cursors = vec![0usize; n_levels];
         let mut written: u32 = 0;
-        for (key, mut lists) in groups {
+        let mut ids = Vec::new();
+        while let Some(&first) = runs[0].get(cursors[0]) {
+            let key = (first >> 32) as u64;
             dir_w.write(&key.to_le_bytes())?;
-            for (li, list) in lists.iter_mut().enumerate() {
-                list.sort_unstable();
-                list.dedup();
+            for (li, run) in runs.iter().enumerate() {
+                let at = cursors[li];
+                let len = run[at..]
+                    .iter()
+                    .take_while(|&&p| (p >> 32) as u64 == key)
+                    .count();
+                cursors[li] = at + len;
                 dir_w.write(&written.to_le_bytes())?;
-                dir_w.write(&(list.len() as u32).to_le_bytes())?;
-                for id in list.iter() {
-                    postings_w.write(&id.to_le_bytes())?;
+                dir_w.write(&(len as u32).to_le_bytes())?;
+                ids.clear();
+                for &p in &run[at..at + len] {
+                    ids.extend_from_slice(&(p as u32).to_le_bytes());
                 }
-                written += list.len() as u32;
-                level_postings[li] += list.len() as u64;
+                postings_w.write(&ids)?;
+                written += len as u32;
+                level_postings[li] += len as u64;
             }
         }
         let directory = dir_w.finish()?;
         let postings = postings_w.finish()?;
         let entries = (directory.len() / Self::entry_width(n_levels) as u64) as u32;
+        // Dense directories must cover every key 0..n exactly once.
+        debug_assert!(!dense || entries as usize == keys.len());
         Ok(ClimbingIndex {
             volume: volume.clone(),
             directory,
@@ -241,11 +259,7 @@ impl ClimbingIndex {
             entries,
             dense,
             level_postings,
-            delta: if dense {
-                IndexDelta::ByKey(BTreeMap::new())
-            } else {
-                IndexDelta::ByValue(Vec::new())
-            },
+            delta: IndexDelta::empty(dense),
             suppressed: vec![Vec::new(); n_levels],
             moved: false,
         })
@@ -607,14 +621,7 @@ impl ClimbingIndex {
         let n_levels = self.levels.len();
         let suppressed = std::mem::replace(&mut self.suppressed, vec![Vec::new(); n_levels]);
         self.moved = false;
-        let drained = std::mem::replace(
-            &mut self.delta,
-            if self.dense {
-                IndexDelta::ByKey(BTreeMap::new())
-            } else {
-                IndexDelta::ByValue(Vec::new())
-            },
-        );
+        let drained = std::mem::replace(&mut self.delta, IndexDelta::empty(self.dense));
         // Delta entries in the *new* key space, dead keys dropped, every
         // posting filtered + renumbered. (BTreeMap order + monotone
         // remap keeps ByKey sorted; ByValue sorts after encoding.)
@@ -927,11 +934,7 @@ impl ClimbingIndex {
             entries: m.entries,
             dense: m.dense,
             level_postings: m.level_postings.clone(),
-            delta: if m.dense {
-                IndexDelta::ByKey(BTreeMap::new())
-            } else {
-                IndexDelta::ByValue(Vec::new())
-            },
+            delta: IndexDelta::empty(m.dense),
             suppressed: vec![Vec::new(); m.levels.len()],
             moved: false,
         })
@@ -1431,6 +1434,14 @@ mod tests {
         v.into_iter().map(RowId).collect()
     }
 
+    /// The load's key for "Spain", read off doctor 1.
+    fn spain_key(enc: &LoadEncoders, data: &Dataset) -> u64 {
+        let column = ghostdb_types::ColumnId(1);
+        assert_eq!(data.tables[0].columns[1][1], Value::Text("Spain".into()));
+        enc.keys(TableId(0), column, &data.tables[0].columns[1])
+            .unwrap()[1]
+    }
+
     #[test]
     fn value_index_level0_postings() {
         let (vol, scope, _s, tree, data, enc) = setup();
@@ -1441,13 +1452,7 @@ mod tests {
         let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
         assert_eq!(idx.entry_count(), 3); // France, Spain, USA
                                           // Spain = doctors 1 and 4.
-        let spain = enc
-            .key_of(
-                TableId(0),
-                ghostdb_types::ColumnId(1),
-                &Value::Text("Spain".into()),
-            )
-            .unwrap();
+        let spain = spain_key(&enc, &data);
         let range = KeyRange {
             lo: spain,
             hi: spain,
@@ -1465,13 +1470,7 @@ mod tests {
         };
         let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
         assert_eq!(idx.levels(), &[TableId(0), TableId(1), TableId(2)]);
-        let spain = enc
-            .key_of(
-                TableId(0),
-                ghostdb_types::ColumnId(1),
-                &Value::Text("Spain".into()),
-            )
-            .unwrap();
+        let spain = spain_key(&enc, &data);
         let range = KeyRange {
             lo: spain,
             hi: spain,
@@ -1569,13 +1568,7 @@ mod tests {
             column: ghostdb_types::ColumnId(1),
         };
         let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
-        let spain = enc
-            .key_of(
-                TableId(0),
-                ghostdb_types::ColumnId(1),
-                &Value::Text("Spain".into()),
-            )
-            .unwrap();
+        let spain = spain_key(&enc, &data);
         let range = KeyRange {
             lo: spain,
             hi: spain,

@@ -181,30 +181,77 @@ pub struct DictRemap {
     pub map: Vec<u32>,
 }
 
-/// In-memory value→key encoders, alive only during the secure bulk load
-/// so the index builders can encode values without flash binary searches.
+/// The dictionary codes the secure bulk load assigned, alive only
+/// during the load so the index builders and the statistics pass can
+/// key a column without hashing its strings or searching the on-flash
+/// dictionary.
 #[derive(Debug, Default)]
 pub struct LoadEncoders {
-    /// `dicts[table][column]` maps text → code for dictionary columns.
-    dicts: HashMap<(u16, u16), HashMap<String, u32>>,
+    /// Per dictionary column `(table, column)`: every row's code, in row
+    /// order, and the dictionary's entry count.
+    dicts: HashMap<(u16, u16), (Vec<u32>, u32)>,
 }
 
 impl LoadEncoders {
-    /// Order key of `value` in the given column's key space.
-    pub fn key_of(&self, table: TableId, column: ColumnId, value: &Value) -> Result<u64> {
-        if let Some(dict) = self.dicts.get(&(table.0, column.0)) {
-            let s = value
-                .as_text()
-                .ok_or_else(|| GhostError::value("dict column expects text"))?;
-            dict.get(s).map(|&c| c as u64).ok_or_else(|| {
-                GhostError::corrupt(format!("value {s:?} missing from load dictionary"))
-            })
-        } else {
-            value
-                .order_key()
-                .ok_or_else(|| GhostError::value("text value on a fixed-key column"))
+    /// Order keys of every row of a column, in row order: the load's
+    /// dictionary codes for a dictionary column, [`Value::order_key`]
+    /// of `values` (the column's load values) otherwise.
+    pub fn keys(&self, table: TableId, column: ColumnId, values: &[Value]) -> Result<Vec<u64>> {
+        match self.dicts.get(&(table.0, column.0)) {
+            Some((codes, _)) => Ok(codes.iter().map(|&c| c as u64).collect()),
+            None => values
+                .iter()
+                .map(|v| {
+                    v.order_key()
+                        .ok_or_else(|| GhostError::value("text value on a fixed-key column"))
+                })
+                .collect(),
         }
     }
+
+    /// Distinct strings in a dictionary column (`None` for any other
+    /// column).
+    pub fn dict_entries(&self, table: TableId, column: ColumnId) -> Option<u32> {
+        self.dicts.get(&(table.0, column.0)).map(|&(_, n)| n)
+    }
+}
+
+/// Rank the strings of a `CHAR` column with one sort: the distinct
+/// strings in ascending order, and each row's code (its string's rank).
+/// Rows sort by a big-endian 8-byte prefix first, so most comparisons
+/// never touch the strings; zero padding keeps prefix order consistent
+/// with string order, and equal prefixes fall back to the full strings.
+fn rank_strings(values: &[Value]) -> Result<(Vec<&str>, Vec<u32>)> {
+    let texts: Vec<&str> = values
+        .iter()
+        .map(|v| v.as_text())
+        .collect::<Option<_>>()
+        .ok_or_else(|| GhostError::corrupt("non-text value in CHAR column"))?;
+    let prefix = |s: &str| {
+        let mut p = [0u8; 8];
+        let n = s.len().min(8);
+        p[..n].copy_from_slice(&s.as_bytes()[..n]);
+        u64::from_be_bytes(p)
+    };
+    let mut order: Vec<(u64, u32)> = texts
+        .iter()
+        .enumerate()
+        .map(|(r, s)| (prefix(s), r as u32))
+        .collect();
+    order.sort_unstable_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then_with(|| texts[a.1 as usize].cmp(texts[b.1 as usize]))
+    });
+    let mut uniq: Vec<&str> = Vec::new();
+    let mut codes = vec![0u32; texts.len()];
+    for (_, r) in order {
+        let s = texts[r as usize];
+        if uniq.last() != Some(&s) {
+            uniq.push(s);
+        }
+        codes[r as usize] = uniq.len() as u32 - 1;
+    }
+    Ok((uniq, codes))
 }
 
 /// Remaps a delta flush reports to the index layer: dictionary code
@@ -297,18 +344,7 @@ impl HiddenStore {
                     }
                     DataType::Char(_) => {
                         // Order-preserving dictionary.
-                        let mut uniq: Vec<&str> =
-                            values.iter().filter_map(|v| v.as_text()).collect();
-                        if uniq.len() != values.len() {
-                            return Err(GhostError::corrupt("non-text value in CHAR column"));
-                        }
-                        uniq.sort_unstable();
-                        uniq.dedup();
-                        let code_of: HashMap<String, u32> = uniq
-                            .iter()
-                            .enumerate()
-                            .map(|(i, s)| (s.to_string(), i as u32))
-                            .collect();
+                        let (uniq, row_codes) = rank_strings(values)?;
                         let mut offsets = volume.writer(scope)?;
                         let mut bytes = volume.writer(scope)?;
                         let mut off = 0u32;
@@ -319,16 +355,18 @@ impl HiddenStore {
                         }
                         offsets.write(&off.to_le_bytes())?;
                         let mut codes = volume.writer(scope)?;
-                        for v in values {
-                            let code = code_of[v.as_text().expect("checked text")];
+                        for code in &row_codes {
                             codes.write(&code.to_le_bytes())?;
                         }
-                        encoders.dicts.insert((ti as u16, ci as u16), code_of);
+                        let entries = uniq.len() as u32;
+                        encoders
+                            .dicts
+                            .insert((ti as u16, ci as u16), (row_codes, entries));
                         ColumnStore::Dict {
                             codes: codes.finish()?,
                             offsets: offsets.finish()?,
                             bytes: bytes.finish()?,
-                            entries: uniq.len() as u32,
+                            entries,
                         }
                     }
                 };
@@ -1792,18 +1830,21 @@ mod tests {
 
     #[test]
     fn encoders_match_store_keys() {
-        let (store, enc, _) = build();
-        let k = enc
-            .key_of(TableId(0), ColumnId(2), &Value::Text("Flu".into()))
-            .unwrap();
-        assert_eq!(k, 2);
-        let k = enc
-            .key_of(TableId(0), ColumnId(1), &Value::Date(Date(10_007)))
-            .unwrap();
-        assert_eq!(store.key_at(TableId(0), ColumnId(1), RowId(7)).unwrap(), k);
-        assert!(enc
-            .key_of(TableId(0), ColumnId(2), &Value::Text("Nope".into()))
-            .is_err());
+        let (volume, scope, schema, data) = setup();
+        let (store, enc) = HiddenStore::build(&volume, &scope, &schema, &data).unwrap();
+        let values = &data.tables[0].columns;
+        let purposes = enc.keys(TableId(0), ColumnId(2), &values[2]).unwrap();
+        assert_eq!(purposes[2], 2, "row 2 is 'Flu', rank 2 of 4");
+        assert_eq!(enc.dict_entries(TableId(0), ColumnId(2)), Some(4));
+        let dates = enc.keys(TableId(0), ColumnId(1), &values[1]).unwrap();
+        assert_eq!(enc.dict_entries(TableId(0), ColumnId(1)), None);
+        for row in [0u32, 7, 99] {
+            for (col, keys) in [(ColumnId(1), &dates), (ColumnId(2), &purposes)] {
+                let stored = store.key_at(TableId(0), col, RowId(row)).unwrap();
+                assert_eq!(stored, keys[row as usize]);
+            }
+        }
+        assert!(enc.keys(TableId(0), ColumnId(3), &values[2]).is_err());
     }
 
     #[test]

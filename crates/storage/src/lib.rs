@@ -40,7 +40,7 @@ pub use visible::VisibleStore;
 use ghostdb_catalog::{ColumnStats, Schema, SchemaStats, TableStats};
 use ghostdb_flash::Volume;
 use ghostdb_ram::RamScope;
-use ghostdb_types::Result;
+use ghostdb_types::{ColumnId, Result, TableId};
 
 /// Number of histogram buckets collected per column at load time.
 pub const STATS_BUCKETS: usize = 64;
@@ -65,8 +65,18 @@ pub fn split_dataset(
     for (ti, table) in schema.tables().iter().enumerate() {
         let tdata = &data.tables[ti];
         let mut cols = Vec::with_capacity(table.columns.len());
-        for ci in 0..table.columns.len() {
-            cols.push(Some(ColumnStats::build(&tdata.columns[ci], STATS_BUCKETS)));
+        for (ci, values) in tdata.columns.iter().enumerate() {
+            // A dictionary column's distinct count is its entry count,
+            // which the hidden load already computed.
+            let dict = encoders.dict_entries(TableId(ti as u16), ColumnId(ci as u16));
+            cols.push(Some(match dict {
+                Some(entries) => ColumnStats {
+                    rows: values.len() as u64,
+                    distinct: entries as u64,
+                    histogram: None,
+                },
+                None => ColumnStats::build(values, STATS_BUCKETS),
+            }));
         }
         stats.tables[ti] = TableStats {
             rows: tdata.rows() as u64,
@@ -154,5 +164,48 @@ mod tests {
                 column: ghostdb_types::ColumnId(2),
             })
             .is_some());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 48, ..Default::default() })]
+
+        /// A hidden `CHAR` column's load statistics take their distinct
+        /// count from the dictionary: it equals the sort-and-dedup count
+        /// over the values, and every row's load code is its string's
+        /// rank. Strings share long prefixes (and some are prefixes of
+        /// others), so the rank sort's 8-byte prefix key ties often.
+        #[test]
+        fn dictionary_distinct_count_and_codes_match_the_values(
+            names in proptest::collection::vec("[ab]{5,10}", 1..200),
+        ) {
+            let schema = tiny_schema();
+            let mut data = Dataset::empty(&schema);
+            for (i, name) in names.iter().enumerate() {
+                let row = vec![Value::Int(i as i64), Value::Int(0), Value::Text(name.clone())];
+                data.push_row(TableId(0), row).unwrap();
+            }
+            let cfg = FlashConfig {
+                page_size: 256,
+                pages_per_block: 8,
+                num_blocks: 64,
+                ..FlashConfig::default_2007()
+            };
+            let volume = Volume::new(Nand::new(cfg, SimClock::new()));
+            let scope = RamScope::new(&RamBudget::new(64 * 1024));
+            let (_hidden, _visible, stats, encoders) =
+                split_dataset(&volume, &scope, &schema, &data).unwrap();
+            let name = ghostdb_types::ColumnId(2);
+            let values = &data.tables[0].columns[2];
+            let mut probe: Vec<&Value> = values.iter().collect();
+            probe.sort_by(|a, b| a.cmp_same_type(b).unwrap());
+            probe.dedup();
+            let cref = ghostdb_catalog::ColumnRef { table: TableId(0), column: name };
+            proptest::prop_assert_eq!(stats.column(cref).unwrap().distinct, probe.len() as u64);
+            let codes = encoders.keys(TableId(0), name, values).unwrap();
+            for (value, code) in values.iter().zip(codes) {
+                let rank = probe.binary_search_by(|p| p.cmp_same_type(value).unwrap());
+                proptest::prop_assert_eq!(rank, Ok(code as usize));
+            }
+        }
     }
 }
