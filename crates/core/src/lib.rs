@@ -943,7 +943,11 @@ impl GhostDb {
         let scope = RamScope::new(&read.ram);
         let remaps = read.hidden.flush(&scope, &read.schema)?;
         read.indexes.flush(&scope, &read.hidden, &remaps)?;
-        if remaps.any_compaction() {
+        let compacted = remaps.any_compaction();
+        // The dictionary remaps carry the flushed columns' strings: free
+        // them before the statistics pass.
+        drop(remaps);
+        if compacted {
             // The PC drops its dead rows and renumbers in lockstep (the
             // dead sets were already announced; one frame says "now").
             read.pc_link.compact(&read.schema)?;
@@ -1782,6 +1786,51 @@ mod tests {
             .query("SELECT Doc.DocID FROM Doctor Doc WHERE Doc.Country = 'Japan'")
             .unwrap();
         assert_eq!(out.rows.rows, vec![vec![Value::Int(3)]]);
+    }
+
+    /// The index flush keys its delta entries with the codes the hidden
+    /// store's dictionary rebuild reports: a fresh string inserted twice,
+    /// a `CHAR` update to a fresh string, and a fresh string whose only
+    /// row died before the flush all come out exact, under every plan.
+    #[test]
+    fn index_flush_keys_deltas_with_rebuilt_codes() {
+        let mut db = tiny();
+        for sql in [
+            "INSERT INTO Visit VALUES (16, 5, 'Zoster', 1)",
+            "INSERT INTO Visit VALUES (17, 6, 'Zoster', 2)",
+            "INSERT INTO Visit VALUES (18, 7, 'Measles', 3)",
+            "DELETE FROM Visit WHERE Purpose = 'Measles'",
+            // Visits 3 and 11 (Sclerosis) move to a fresh string.
+            "UPDATE Visit SET Purpose = 'Flu' WHERE Severity = 3",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        let purposes = ["Checkup", "Flu", "Measles", "Sclerosis", "Zoster"];
+        let by_purpose = |db: &GhostDb| -> Vec<Vec<Vec<Value>>> {
+            purposes
+                .iter()
+                .map(|p| {
+                    let sql = format!("SELECT Vis.VisID FROM Visit Vis WHERE Vis.Purpose = '{p}'");
+                    let plans = db.plans(&sql).unwrap();
+                    let rows = db.query_with_plan(&sql, &plans[0].plan).unwrap().rows.rows;
+                    for cp in &plans[1..] {
+                        let other = db.query_with_plan(&sql, &cp.plan).unwrap();
+                        assert_eq!(other.rows.rows, rows, "plans disagree on {p}");
+                    }
+                    rows
+                })
+                .collect()
+        };
+        let before = by_purpose(&db);
+        db.flush_deltas().unwrap();
+        let after = by_purpose(&db);
+        assert_eq!(before, after, "the flush must not move any posting");
+        let ids =
+            |v: &[i64]| -> Vec<Vec<Value>> { v.iter().map(|&i| vec![Value::Int(i)]).collect() };
+        assert_eq!(after[1], ids(&[3, 11]), "Flu");
+        assert!(after[2].is_empty(), "Measles died with its only row");
+        assert_eq!(after[4], ids(&[16, 17]), "Zoster, inserted twice");
+        assert_eq!(after[0].len() + after[3].len(), 14);
     }
 
     /// Mutation bus protocol: deletes/updates announce identities and

@@ -3,10 +3,11 @@
 //! Before streaming candidate rows, the executor fetches each visible
 //! column it needs **once** from the PC — requesting specific row ids
 //! would reveal which rows qualified, so the whole (predicate-filtered)
-//! column crosses the bus and lands in a fixed-width, binary-searchable
-//! flash segment. Per candidate row the projection then costs
-//! `O(log n)` partial page reads and zero device RAM beyond one page
-//! buffer.
+//! column crosses the bus and lands in a fixed-width flash segment sorted
+//! by row id. Per candidate row the projection then costs one
+//! page-granular search of [`ghostdb_flash::search`] — usually the one
+//! page the id is on, often none when probes arrive in id order — and zero
+//! device RAM beyond one page buffer.
 //!
 //! The same structure doubles as the **exact verifier** behind Bloom
 //! post-filters: a Bloom positive is confirmed by probing the temp (a
@@ -19,8 +20,9 @@
 //! collector can compact a temp's blocks *while a prober is open* —
 //! nothing here may cache physical page locations.
 
+use ghostdb_flash::search::{RunCursor, SortedRun};
 use ghostdb_flash::{Segment, SegmentReader, Volume};
-use ghostdb_ram::{RamScope, ScopedGuard};
+use ghostdb_ram::RamScope;
 use ghostdb_types::{DataType, GhostError, IdBlock, IdStream, Result, RowId, Value, BLOCK_CAP};
 
 use crate::pc::PairStream;
@@ -34,6 +36,8 @@ pub struct VisibleTemp {
     /// Bytes per record: 4 (id) + value width.
     width: usize,
     count: u64,
+    /// First and last stored ids (they seed the probe search).
+    id_span: (u64, u64),
 }
 
 fn value_width(ty: DataType) -> usize {
@@ -97,16 +101,13 @@ impl VisibleTemp {
         let mut w = volume.writer(scope)?;
         let mut rec = vec![0u8; width];
         let mut count = 0u64;
-        let mut last: Option<RowId> = None;
+        let mut span = IdSpan::default();
         while let Some((id, v)) = pairs.next_pair()? {
-            if let Some(prev) = last {
-                if id <= prev {
-                    return Err(GhostError::bus(
-                        "PC sent column pairs out of order".to_string(),
-                    ));
-                }
+            if !span.push(id) {
+                return Err(GhostError::bus(
+                    "PC sent column pairs out of order".to_string(),
+                ));
             }
-            last = Some(id);
             rec[..4].copy_from_slice(&id.0.to_le_bytes());
             encode_value(ty, &v, &mut rec[4..])?;
             w.write(&rec)?;
@@ -121,6 +122,7 @@ impl VisibleTemp {
             ty,
             width,
             count,
+            id_span: span.bounds(),
         })
     }
 
@@ -152,14 +154,17 @@ impl VisibleTemp {
 
     /// Open a probing cursor (one page of RAM).
     pub fn prober(&self, scope: &RamScope) -> Result<TempProber<'_>> {
-        let page = self.volume.page_size();
-        let guard = scope.alloc(page)?;
         Ok(TempProber {
-            temp: self,
-            buf: vec![0u8; page],
-            buf_page: u64::MAX,
+            cur: id_cursor(
+                scope,
+                &self.volume,
+                &self.segment,
+                self.width,
+                self.count,
+                self.id_span,
+            )?,
+            ty: self.ty,
             probes: 0,
-            _ram: guard,
         })
     }
 
@@ -169,7 +174,7 @@ impl VisibleTemp {
     }
 }
 
-/// An id-only flash temp: 4-byte records, ascending, binary-searchable.
+/// An id-only flash temp: 4-byte records, ascending.
 ///
 /// This is the exact-verification side of a Bloom post-filter when the
 /// predicate column itself is not projected: the device asks the PC only
@@ -180,6 +185,8 @@ pub struct IdTemp {
     volume: Volume,
     segment: Segment,
     count: u64,
+    /// First and last stored ids (they seed the membership search).
+    id_span: (u64, u64),
 }
 
 impl IdTemp {
@@ -193,7 +200,7 @@ impl IdTemp {
     ) -> Result<IdTemp> {
         let mut w = volume.writer(scope)?;
         let mut count = 0u64;
-        let mut last: Option<RowId> = None;
+        let mut span = IdSpan::default();
         let mut block = IdBlock::new();
         loop {
             ids.next_block(&mut block)?;
@@ -201,12 +208,9 @@ impl IdTemp {
                 break;
             }
             for &id in block.as_slice() {
-                if let Some(prev) = last {
-                    if id <= prev {
-                        return Err(GhostError::bus("PC sent ids out of order".to_string()));
-                    }
+                if !span.push(id) {
+                    return Err(GhostError::bus("PC sent ids out of order".to_string()));
                 }
-                last = Some(id);
                 w.write(&id.0.to_le_bytes())?;
                 if let Some(f) = on_id.as_deref_mut() {
                     f(id);
@@ -218,6 +222,7 @@ impl IdTemp {
             volume: volume.clone(),
             segment: w.finish()?,
             count,
+            id_span: span.bounds(),
         })
     }
 
@@ -233,13 +238,15 @@ impl IdTemp {
 
     /// Open a membership prober (one page of RAM).
     pub fn prober(&self, scope: &RamScope) -> Result<IdProber<'_>> {
-        let page = self.volume.page_size();
-        let guard = scope.alloc(page)?;
         Ok(IdProber {
-            temp: self,
-            buf: vec![0u8; page],
-            buf_page: u64::MAX,
-            _ram: guard,
+            cur: id_cursor(
+                scope,
+                &self.volume,
+                &self.segment,
+                4,
+                self.count,
+                self.id_span,
+            )?,
         })
     }
 
@@ -314,106 +321,81 @@ impl IdStream for TempIdScan {
     }
 }
 
-/// Binary-search membership prober over an [`IdTemp`].
+/// Ascending ids as they arrive at a temp build: rejects a repeat or a
+/// step back, and remembers the first and last.
+#[derive(Debug, Default)]
+struct IdSpan(Option<(RowId, RowId)>);
+
+impl IdSpan {
+    /// Record `id`; `false` if it does not ascend.
+    fn push(&mut self, id: RowId) -> bool {
+        match &mut self.0 {
+            None => self.0 = Some((id, id)),
+            Some((_, last)) if id <= *last => return false,
+            Some((_, last)) => *last = id,
+        }
+        true
+    }
+
+    fn bounds(&self) -> (u64, u64) {
+        self.0.map_or((0, 0), |(a, b)| (a.0 as u64, b.0 as u64))
+    }
+}
+
+/// A one-page cursor over a temp's records, keyed by their leading id.
+fn id_cursor<'a>(
+    scope: &RamScope,
+    volume: &'a Volume,
+    segment: &'a Segment,
+    width: usize,
+    count: u64,
+    (first, last): (u64, u64),
+) -> Result<RunCursor<'a>> {
+    RunCursor::new(
+        scope,
+        SortedRun {
+            volume,
+            segment,
+            width,
+            key_bytes: 4,
+            count,
+            first,
+            last,
+        },
+    )
+}
+
+/// Membership prober over an [`IdTemp`].
 #[derive(Debug)]
 pub struct IdProber<'a> {
-    temp: &'a IdTemp,
-    buf: Vec<u8>,
-    buf_page: u64,
-    _ram: ScopedGuard,
+    cur: RunCursor<'a>,
 }
 
 impl IdProber<'_> {
-    fn id_at(&mut self, idx: u64) -> Result<RowId> {
-        let start = idx * 4;
-        let page_size = self.buf.len() as u64;
-        let page = start / page_size;
-        if self.buf_page != page {
-            let page_start = page * page_size;
-            let len = page_size.min(self.temp.segment.len() - page_start) as usize;
-            self.temp
-                .volume
-                .read_at(&self.temp.segment, page_start, &mut self.buf[..len])?;
-            self.buf_page = page;
-        }
-        let off = (start - page * page_size) as usize;
-        Ok(RowId(u32::from_le_bytes(
-            self.buf[off..off + 4].try_into().expect("4B"),
-        )))
-    }
-
-    /// Binary-search membership test.
+    /// Is `id` stored?
     pub fn contains(&mut self, id: RowId) -> Result<bool> {
-        let mut lo = 0u64;
-        let mut hi = self.temp.count;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.id_at(mid)?.cmp(&id) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(true),
-            }
-        }
-        Ok(false)
+        Ok(self.cur.lower_bound(id.0 as u64)?.1 == Some(id.0 as u64))
     }
 }
 
-/// Binary-search prober over a [`VisibleTemp`].
+/// Prober over a [`VisibleTemp`]: id → value.
 #[derive(Debug)]
 pub struct TempProber<'a> {
-    temp: &'a VisibleTemp,
-    buf: Vec<u8>,
-    buf_page: u64,
+    cur: RunCursor<'a>,
+    ty: DataType,
     probes: u64,
-    _ram: ScopedGuard,
 }
 
 impl TempProber<'_> {
-    fn record(&mut self, idx: u64) -> Result<(RowId, Vec<u8>)> {
-        let width = self.temp.width as u64;
-        let start = idx * width;
-        let page_size = self.buf.len() as u64;
-        let first = start / page_size;
-        let last = (start + width - 1) / page_size;
-        let raw: Vec<u8> = if first == last {
-            if self.buf_page != first {
-                let page_start = first * page_size;
-                let len = page_size.min(self.temp.segment.len() - page_start) as usize;
-                self.temp
-                    .volume
-                    .read_at(&self.temp.segment, page_start, &mut self.buf[..len])?;
-                self.buf_page = first;
-            }
-            let off = (start - first * page_size) as usize;
-            self.buf[off..off + width as usize].to_vec()
-        } else {
-            let mut raw = vec![0u8; width as usize];
-            self.temp
-                .volume
-                .read_at(&self.temp.segment, start, &mut raw)?;
-            raw
-        };
-        let id = RowId(u32::from_le_bytes(raw[..4].try_into().expect("4B")));
-        Ok((id, raw))
-    }
-
-    /// Binary search for `id`; returns its value or `None` if absent.
+    /// The value stored for `id`, or `None` if absent.
     pub fn probe(&mut self, id: RowId) -> Result<Option<Value>> {
         self.probes += 1;
-        let mut lo = 0u64;
-        let mut hi = self.temp.count;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let (mid_id, raw) = self.record(mid)?;
-            match mid_id.cmp(&id) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    return Ok(Some(decode_value(self.temp.ty, &raw[4..])?))
-                }
-            }
+        let (pos, key) = self.cur.lower_bound(id.0 as u64)?;
+        if key != Some(id.0 as u64) {
+            return Ok(None);
         }
-        Ok(None)
+        let rec = self.cur.record(pos)?;
+        Ok(Some(decode_value(self.ty, &rec[4..])?))
     }
 
     /// Membership-only probe.
@@ -424,10 +406,11 @@ impl TempProber<'_> {
     /// The row id stored at record position `idx` (sequential replay,
     /// e.g. rebuilding a Bloom filter from an already-fetched temp).
     pub fn record_id(&mut self, idx: u64) -> Result<RowId> {
-        if idx >= self.temp.count {
+        if idx >= self.cur.len() {
             return Err(GhostError::exec("temp record index out of range"));
         }
-        Ok(self.record(idx)?.0)
+        let rec = self.cur.record(idx)?;
+        Ok(RowId(u32::from_le_bytes(rec[..4].try_into().expect("4B"))))
     }
 
     /// Probes issued so far.

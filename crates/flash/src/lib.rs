@@ -65,6 +65,7 @@
 
 pub mod ecc;
 mod nand;
+pub mod search;
 mod volume;
 
 pub use nand::{

@@ -419,7 +419,8 @@ impl Nand {
     /// Deterministically flip one stored bit of `page` (bit index
     /// within the page). Unlike the armed fault, this injection is not
     /// bounded by the correction budget — it is how tests rot a page
-    /// past repair.
+    /// past repair. The flip counts as the page's unrepaired one, so an
+    /// armed rot injector adds none on top of it.
     pub fn corrupt_page(&self, page: PageAddr, bit: u32) -> Result<()> {
         self.check_page(page)?;
         if bit as usize >= self.cfg.page_size * 8 {
@@ -427,6 +428,8 @@ impl Nand {
         }
         let mut state = self.state.lock().expect("nand poisoned");
         state.page_mut(&self.cfg, page.index())[bit as usize >> 3] ^= 1 << (bit & 7);
+        let flips = &mut state.rot_flips[page.index()];
+        *flips = flips.saturating_add(1);
         Ok(())
     }
 
@@ -944,6 +947,24 @@ mod tests {
         let mut buf = [0u8; 1];
         nand.read_into(PageAddr(0), 0, &mut buf).unwrap();
         assert_eq!(buf[0], 9);
+    }
+
+    /// A hand-corrupted page already carries its one unrepaired flip:
+    /// armed rot reading it — retention or disturb — adds no second one.
+    #[test]
+    fn armed_rot_spares_a_hand_corrupted_page() {
+        let nand = small();
+        nand.program(PageAddr(0), &[0u8; 64]).unwrap();
+        nand.corrupt_page(PageAddr(0), 10).unwrap();
+        nand.arm_bit_rot(1, 1.0, 1);
+        let mut buf = [0u8; 64];
+        for _ in 0..32 {
+            nand.read_into(PageAddr(0), 0, &mut buf).unwrap();
+        }
+        assert_eq!(nand.flips_injected(), 0);
+        let mut want = [0u8; 64];
+        want[1] = 0x04;
+        assert_eq!(buf, want);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! Two flavours share the structure:
 //!
 //! * **value indexes** on hidden attribute columns (keys are order keys /
-//!   dictionary codes; probed by binary search over flash);
+//!   dictionary codes; probed by the page-granular interpolation search of
+//!   [`ghostdb_flash::search`], seeded by the first and last keys the
+//!   handle holds);
 //! * **key indexes** on a table's primary key (keys are the dense row ids
 //!   themselves, so the directory is direct-addressed — `dense = true`).
 //!   These translate a delegated visible id list up the tree, and give
@@ -70,8 +72,9 @@
 use std::collections::BTreeMap;
 
 use ghostdb_catalog::{ColumnRef, TreeSchema};
+use ghostdb_flash::search::{RunCursor, SortedRun};
 use ghostdb_flash::{Segment, SegmentManifest, SegmentReader, SegmentWriter, Volume};
-use ghostdb_ram::{RamScope, ScopedGuard};
+use ghostdb_ram::RamScope;
 use ghostdb_storage::{Dataset, KeyRange, LoadEncoders};
 use ghostdb_types::{
     GhostError, IdBlock, IdStream, Result, RowId, ScalarOp, TableId, Value, VecIdStream, Wire,
@@ -79,7 +82,7 @@ use ghostdb_types::{
 };
 
 use crate::sort::{ExternalSorter, SortedStream};
-use crate::wide_rows;
+use crate::WideRows;
 
 const KEY_BYTES: usize = 8;
 const PER_LEVEL_BYTES: usize = 8; // u32 offset + u32 length
@@ -122,6 +125,9 @@ pub struct ClimbingIndex {
     /// Climb path; `levels[0]` is the indexed table, last is the root.
     levels: Vec<TableId>,
     entries: u32,
+    /// Keys of the first and last directory entries (set at build, flush
+    /// and restore; they seed the directory search).
+    key_span: (u64, u64),
     /// Directory is direct-addressed by key (key == entry position).
     dense: bool,
     /// Total postings per level (for cost estimation).
@@ -142,19 +148,22 @@ impl ClimbingIndex {
         KEY_BYTES + levels * PER_LEVEL_BYTES
     }
 
-    /// Build a value index on a (hidden) attribute column.
+    /// Build a value index on a (hidden) attribute column; `wide` shares
+    /// the root's wide rows between the load's builders.
     pub fn build_value_index(
         volume: &Volume,
         scope: &RamScope,
         tree: &TreeSchema,
         data: &Dataset,
+        wide: &mut WideRows,
         encoders: &LoadEncoders,
         cref: ColumnRef,
     ) -> Result<ClimbingIndex> {
         let table = cref.table;
         let values = &data.tables[table.index()].columns[cref.column.index()];
         let keys = encoders.keys(table, cref.column, values)?;
-        Self::build_from_keys(volume, scope, tree, data, table, &keys, false)
+        let climb = Climb { tree, data, wide };
+        Self::build_from_keys(volume, scope, climb, table, &keys, false)
     }
 
     /// Build the key index on `table`'s primary key (dense directory).
@@ -163,19 +172,20 @@ impl ClimbingIndex {
         scope: &RamScope,
         tree: &TreeSchema,
         data: &Dataset,
+        wide: &mut WideRows,
         table: TableId,
     ) -> Result<ClimbingIndex> {
         let n = data.row_count(table) as u64;
         let keys: Vec<u64> = (0..n).collect();
-        Self::build_from_keys(volume, scope, tree, data, table, &keys, true)
+        let climb = Climb { tree, data, wide };
+        Self::build_from_keys(volume, scope, climb, table, &keys, true)
     }
 
     /// Shared builder: `keys[r]` is the order key of row `r` of `table`.
     fn build_from_keys(
         volume: &Volume,
         scope: &RamScope,
-        tree: &TreeSchema,
-        data: &Dataset,
+        Climb { tree, data, wide }: Climb<'_>,
         table: TableId,
         keys: &[u64],
         dense: bool,
@@ -193,7 +203,7 @@ impl ClimbingIndex {
         runs.push((0u32..).zip(keys).map(|(r, &k)| pair(k, r)).collect());
         // Ancestor levels come from one pass over the root's wide rows.
         if n_levels > 1 {
-            let wide = wide_rows(tree, data, data.tables.len(), root)?;
+            let wide = wide.of(tree, data, root)?;
             let t_ids = wide[table.index()]
                 .as_ref()
                 .ok_or_else(|| GhostError::catalog("table missing from root subtree"))?;
@@ -251,12 +261,14 @@ impl ClimbingIndex {
         let entries = (directory.len() / Self::entry_width(n_levels) as u64) as u32;
         // Dense directories must cover every key 0..n exactly once.
         debug_assert!(!dense || entries as usize == keys.len());
+        let key_of = |p: Option<&u128>| p.map_or(0, |&p| (p >> 32) as u64);
         Ok(ClimbingIndex {
             volume: volume.clone(),
             directory,
             postings,
             levels,
             entries,
+            key_span: (key_of(runs[0].first()), key_of(runs[0].last())),
             dense,
             level_postings,
             delta: IndexDelta::empty(dense),
@@ -425,10 +437,26 @@ impl ClimbingIndex {
         Self::entry_width(self.levels.len())
     }
 
-    /// Read directory entry `idx` with a scratch cursor.
-    fn read_entry(&self, cur: &mut DirCursor, idx: u32) -> Result<DirEntry> {
+    /// A one-page cursor over the directory (charged to `scope`).
+    fn cursor(&self, scope: &RamScope) -> Result<RunCursor<'_>> {
+        RunCursor::new(
+            scope,
+            SortedRun {
+                volume: &self.volume,
+                segment: &self.directory,
+                width: self.entry_w(),
+                key_bytes: KEY_BYTES,
+                count: self.entries as u64,
+                first: self.key_span.0,
+                last: self.key_span.1,
+            },
+        )
+    }
+
+    /// Read directory entry `idx` through the cursor.
+    fn read_entry(&self, cur: &mut RunCursor<'_>, idx: u32) -> Result<DirEntry> {
         let w = self.entry_w();
-        let raw = cur.entry_bytes(self, idx)?;
+        let raw = cur.record(idx as u64)?;
         let key = u64::from_le_bytes(raw[..8].try_into().expect("8B"));
         let mut slots = Vec::with_capacity(self.levels.len());
         for li in 0..self.levels.len() {
@@ -441,24 +469,16 @@ impl ClimbingIndex {
         Ok(DirEntry { key, slots })
     }
 
-    /// First directory position with key >= `probe` (binary search on
-    /// flash; direct computation for dense directories).
-    fn lower_bound(&self, cur: &mut DirCursor, probe: u64) -> Result<u32> {
+    /// First directory position with key >= `probe`, and its key
+    /// (`None` past the end): the page-granular search on flash, direct
+    /// computation for dense directories.
+    fn lower_bound(&self, cur: &mut RunCursor<'_>, probe: u64) -> Result<(u32, Option<u64>)> {
         if self.dense {
-            return Ok(probe.min(self.entries as u64) as u32);
+            let n = self.entries as u64;
+            return Ok((probe.min(n) as u32, (probe < n).then_some(probe)));
         }
-        let mut lo = 0u32;
-        let mut hi = self.entries;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let e = self.read_entry(cur, mid)?;
-            if e.key < probe {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(lo)
+        let (pos, key) = cur.lower_bound(probe)?;
+        Ok((pos as u32, key))
     }
 
     /// Probe the index: stream the ascending, deduplicated ids at
@@ -478,21 +498,25 @@ impl ClimbingIndex {
         if self.entries == 0 {
             return Ok(PostingStream::empty());
         }
-        let mut cur = DirCursor::new(scope, &self.volume)?;
-        let start = self.lower_bound(&mut cur, range.lo)?;
-        // Collect matching entries' slots.
+        let mut cur = self.cursor(scope)?;
+        let (start, first) = self.lower_bound(&mut cur, range.lo)?;
+        // Collect matching entries' slots. Keys strictly ascend, so the
+        // walk stops at the entry keyed `range.hi` without reading on.
         let mut slots: Vec<(u32, u32)> = Vec::new();
-        let mut idx = start;
-        while idx < self.entries {
-            let e = self.read_entry(&mut cur, idx)?;
-            if e.key > range.hi {
-                break;
+        if first.is_some_and(|k| k <= range.hi) {
+            for idx in start..self.entries {
+                let e = self.read_entry(&mut cur, idx)?;
+                if e.key > range.hi {
+                    break;
+                }
+                let s = e.slots[level];
+                if s.1 > 0 {
+                    slots.push(s);
+                }
+                if e.key == range.hi {
+                    break;
+                }
             }
-            let s = e.slots[level];
-            if s.1 > 0 {
-                slots.push(s);
-            }
-            idx += 1;
         }
         drop(cur);
         match slots.len() {
@@ -654,34 +678,16 @@ impl ClimbingIndex {
             }
         };
 
-        fn write_entry(
-            dir_w: &mut SegmentWriter,
-            post_w: &mut SegmentWriter,
-            key: u64,
-            lists: &[Vec<u32>],
-            written: &mut u32,
-            level_postings: &mut [u64],
-        ) -> Result<()> {
-            dir_w.write(&key.to_le_bytes())?;
-            for (li, list) in lists.iter().enumerate() {
-                dir_w.write(&written.to_le_bytes())?;
-                dir_w.write(&(list.len() as u32).to_le_bytes())?;
-                for &id in list {
-                    post_w.write(&id.to_le_bytes())?;
-                }
-                *written += list.len() as u32;
-                level_postings[li] += list.len() as u64;
-            }
-            Ok(())
-        }
-
-        let mut dir_w = self.volume.writer(scope)?;
-        let mut post_w = self.volume.writer(scope)?;
+        let mut out = DirWriter {
+            dir_w: self.volume.writer(scope)?,
+            post_w: self.volume.writer(scope)?,
+            written: 0,
+            level_postings: vec![0u64; n_levels],
+            entries: 0,
+            key_span: (0, 0),
+        };
         let mut reader = self.volume.reader(scope, &self.postings)?;
-        let mut cur = DirCursor::new(scope, &self.volume)?;
-        let mut level_postings = vec![0u64; n_levels];
-        let mut written: u32 = 0;
-        let mut out_entries: u32 = 0;
+        let mut cur = self.cursor(scope)?;
         let mut di = 0usize;
         let mut buf4 = [0u8; 4];
         let mut merged_lists: Vec<Vec<u32>> = Vec::new();
@@ -691,15 +697,7 @@ impl ClimbingIndex {
                 continue; // dead dense key: entry and postings dropped
             };
             while di < delta.len() && delta[di].0 < new_key {
-                write_entry(
-                    &mut dir_w,
-                    &mut post_w,
-                    delta[di].0,
-                    &delta[di].1,
-                    &mut written,
-                    &mut level_postings,
-                )?;
-                out_entries += 1;
+                out.entry(delta[di].0, &delta[di].1)?;
                 di += 1;
             }
             let extra = if di < delta.len() && delta[di].0 == new_key {
@@ -742,38 +740,20 @@ impl ClimbingIndex {
                 }
                 merged_lists.push(list);
             }
-            write_entry(
-                &mut dir_w,
-                &mut post_w,
-                new_key,
-                &merged_lists,
-                &mut written,
-                &mut level_postings,
-            )?;
-            out_entries += 1;
+            out.entry(new_key, &merged_lists)?;
         }
-        while di < delta.len() {
-            write_entry(
-                &mut dir_w,
-                &mut post_w,
-                delta[di].0,
-                &delta[di].1,
-                &mut written,
-                &mut level_postings,
-            )?;
-            out_entries += 1;
-            di += 1;
+        for (key, lists) in &delta[di..] {
+            out.entry(*key, lists)?;
         }
         drop(cur);
         drop(reader);
-        let new_dir = dir_w.finish()?;
-        let new_post = post_w.finish()?;
-        let old_dir = std::mem::replace(&mut self.directory, new_dir);
-        let old_post = std::mem::replace(&mut self.postings, new_post);
+        let old_dir = std::mem::replace(&mut self.directory, out.dir_w.finish()?);
+        let old_post = std::mem::replace(&mut self.postings, out.post_w.finish()?);
         self.volume.free(old_dir)?;
         self.volume.free(old_post)?;
-        self.entries = out_entries;
-        self.level_postings = level_postings;
+        self.entries = out.entries;
+        self.key_span = out.key_span;
+        self.level_postings = out.level_postings;
         Ok(())
     }
 
@@ -797,7 +777,7 @@ impl ClimbingIndex {
             ));
         }
         let level = self.level_of(level_table)?;
-        let mut cur = DirCursor::new(scope, &self.volume)?;
+        let mut cur = self.cursor(scope)?;
         let mut reader = self.volume.reader(scope, &self.postings)?;
         let mut sorter: ExternalSorter<u32> = ExternalSorter::new(&self.volume, scope, sort_ram)?;
         let mut buf = [0u8; 4];
@@ -926,12 +906,27 @@ impl ClimbingIndex {
                 "climbing manifest entry count disagrees with directory length",
             ));
         }
+        // The first and last keys are not in the manifest (its format
+        // predates them): read them back from a searched directory. A
+        // dense one is keyed by position and never searched.
+        let key_at = |idx: u32| -> Result<u64> {
+            let mut k = [0u8; KEY_BYTES];
+            let w = Self::entry_width(m.levels.len()) as u64;
+            volume.read_at(&directory, idx as u64 * w, &mut k)?;
+            Ok(u64::from_le_bytes(k))
+        };
+        let key_span = match (m.entries, m.dense) {
+            (0, _) => (0, 0),
+            (n, true) => (0, n as u64 - 1),
+            (n, false) => (key_at(0)?, key_at(n - 1)?),
+        };
         Ok(ClimbingIndex {
             volume: volume.clone(),
             directory,
             postings: volume.restore_manifest(&m.postings)?,
             levels: m.levels.clone(),
             entries: m.entries,
+            key_span,
             dense: m.dense,
             level_postings: m.level_postings.clone(),
             delta: IndexDelta::empty(m.dense),
@@ -948,48 +943,45 @@ struct DirEntry {
     slots: Vec<(u32, u32)>,
 }
 
-/// Page-buffered directory reader.
-#[derive(Debug)]
-struct DirCursor {
-    buf: Vec<u8>,
-    buf_page: u64,
-    _ram: ScopedGuard,
+/// What a bulk-load build climbs through: the tree, the load's rows, and
+/// the wide rows shared between builders.
+struct Climb<'a> {
+    tree: &'a TreeSchema,
+    data: &'a Dataset,
+    wide: &'a mut WideRows,
 }
 
-impl DirCursor {
-    fn new(scope: &RamScope, volume: &Volume) -> Result<DirCursor> {
-        let page = volume.page_size();
-        let guard = scope.alloc(page)?;
-        Ok(DirCursor {
-            buf: vec![0u8; page],
-            buf_page: u64::MAX,
-            _ram: guard,
-        })
-    }
+/// The flush's output: directory and postings writers plus the running
+/// geometry of what they hold.
+struct DirWriter {
+    dir_w: SegmentWriter,
+    post_w: SegmentWriter,
+    /// Postings written so far (the next list's offset).
+    written: u32,
+    level_postings: Vec<u64>,
+    entries: u32,
+    key_span: (u64, u64),
+}
 
-    /// Bytes of directory entry `idx` (copied out of the buffered page).
-    fn entry_bytes(&mut self, index: &ClimbingIndex, idx: u32) -> Result<Vec<u8>> {
-        let w = index.entry_w();
-        let start = idx as u64 * w as u64;
-        let page_size = self.buf.len() as u64;
-        let first = start / page_size;
-        let last = (start + w as u64 - 1) / page_size;
-        if first == last {
-            if self.buf_page != first {
-                let page_start = first * page_size;
-                let len = page_size.min(index.directory.len() - page_start) as usize;
-                index
-                    .volume
-                    .read_at(&index.directory, page_start, &mut self.buf[..len])?;
-                self.buf_page = first;
+impl DirWriter {
+    /// Append one directory entry (keys must ascend) and its lists.
+    fn entry(&mut self, key: u64, lists: &[Vec<u32>]) -> Result<()> {
+        self.dir_w.write(&key.to_le_bytes())?;
+        for (li, list) in lists.iter().enumerate() {
+            self.dir_w.write(&self.written.to_le_bytes())?;
+            self.dir_w.write(&(list.len() as u32).to_le_bytes())?;
+            for &id in list {
+                self.post_w.write(&id.to_le_bytes())?;
             }
-            let off = (start - first * page_size) as usize;
-            Ok(self.buf[off..off + w].to_vec())
-        } else {
-            let mut raw = vec![0u8; w];
-            index.volume.read_at(&index.directory, start, &mut raw)?;
-            Ok(raw)
+            self.written += list.len() as u32;
+            self.level_postings[li] += list.len() as u64;
         }
+        if self.entries == 0 {
+            self.key_span.0 = key;
+        }
+        self.key_span.1 = key;
+        self.entries += 1;
+        Ok(())
     }
 }
 
@@ -1449,7 +1441,16 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
+        let idx = ClimbingIndex::build_value_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            &enc,
+            cref,
+        )
+        .unwrap();
         assert_eq!(idx.entry_count(), 3); // France, Spain, USA
                                           // Spain = doctors 1 and 4.
         let spain = spain_key(&enc, &data);
@@ -1468,7 +1469,16 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
+        let idx = ClimbingIndex::build_value_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            &enc,
+            cref,
+        )
+        .unwrap();
         assert_eq!(idx.levels(), &[TableId(0), TableId(1), TableId(2)]);
         let spain = spain_key(&enc, &data);
         let range = KeyRange {
@@ -1493,7 +1503,16 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
+        let idx = ClimbingIndex::build_value_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            &enc,
+            cref,
+        )
+        .unwrap();
         // Range covering France + Spain (codes 0 and 1).
         let range = KeyRange { lo: 0, hi: 1 };
         let mut s = idx.lookup(&scope, range, TableId(0), 4096).unwrap();
@@ -1510,7 +1529,15 @@ mod tests {
     fn key_index_translates_up_the_tree() {
         let (vol, scope, _s, tree, data, _enc) = setup();
         // Key index on Visit: levels Vis -> Pre.
-        let idx = ClimbingIndex::build_key_index(&vol, &scope, &tree, &data, TableId(1)).unwrap();
+        let idx = ClimbingIndex::build_key_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            TableId(1),
+        )
+        .unwrap();
         assert_eq!(idx.entry_count(), 12);
         // Translate visits {0, 5} to prescriptions: p%12 in {0,5} ->
         // {0,12} and {5,17}.
@@ -1523,7 +1550,15 @@ mod tests {
     fn translate_dedups_outputs() {
         let (vol, scope, _s, tree, data, _enc) = setup();
         // Key index on Doctor: levels Doc -> Vis -> Pre.
-        let idx = ClimbingIndex::build_key_index(&vol, &scope, &tree, &data, TableId(0)).unwrap();
+        let idx = ClimbingIndex::build_key_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            TableId(0),
+        )
+        .unwrap();
         // Doctors {1,4} both map to visits {1,4,7,10}; translation must
         // dedup shared ancestors.
         let mut input = ghostdb_types::VecIdStream::new(ids(vec![1, 4]));
@@ -1538,14 +1573,30 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let vidx =
-            ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
+        let vidx = ClimbingIndex::build_value_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            &enc,
+            cref,
+        )
+        .unwrap();
         let mut input = ghostdb_types::VecIdStream::new(ids(vec![0]));
         assert!(vidx
             .translate(&scope, &mut input, TableId(2), 4096)
             .is_err());
 
-        let kidx = ClimbingIndex::build_key_index(&vol, &scope, &tree, &data, TableId(1)).unwrap();
+        let kidx = ClimbingIndex::build_key_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            TableId(1),
+        )
+        .unwrap();
         let mut input = ghostdb_types::VecIdStream::new(ids(vec![99]));
         assert!(kidx
             .translate(&scope, &mut input, TableId(2), 4096)
@@ -1555,7 +1606,15 @@ mod tests {
     #[test]
     fn level_of_rejects_off_path_tables() {
         let (vol, scope, _s, tree, data, _enc) = setup();
-        let idx = ClimbingIndex::build_key_index(&vol, &scope, &tree, &data, TableId(1)).unwrap();
+        let idx = ClimbingIndex::build_key_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            TableId(1),
+        )
+        .unwrap();
         assert!(idx.level_of(TableId(0)).is_err()); // Doctor below Visit
         assert!(idx.level_of(TableId(2)).is_ok());
     }
@@ -1567,7 +1626,16 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
+        let idx = ClimbingIndex::build_value_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            &enc,
+            cref,
+        )
+        .unwrap();
         let spain = spain_key(&enc, &data);
         let range = KeyRange {
             lo: spain,
@@ -1614,8 +1682,16 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let mut idx =
-            ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
+        let mut idx = ClimbingIndex::build_value_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            &enc,
+            cref,
+        )
+        .unwrap();
         // Simulate inserting visit 12 under a Spain doctor, and visit 13
         // under a doctor whose country the base dictionary lacks.
         idx.insert_delta_value(&Value::Text("Spain".into()), TableId(1), RowId(12))
@@ -1679,8 +1755,15 @@ mod tests {
     fn key_index_delta_translate_and_flush() {
         let (vol, scope, _s, tree, data, _enc) = setup();
         // Key index on Visit: levels Vis -> Pre; 12 base entries.
-        let mut idx =
-            ClimbingIndex::build_key_index(&vol, &scope, &tree, &data, TableId(1)).unwrap();
+        let mut idx = ClimbingIndex::build_key_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            TableId(1),
+        )
+        .unwrap();
         // New prescription 24 references base visit 5; new visit 12
         // creates a fresh dense entry.
         idx.insert_delta_key(5, TableId(2), RowId(24)).unwrap();
@@ -1717,8 +1800,16 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let mut idx =
-            ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
+        let mut idx = ClimbingIndex::build_value_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            &enc,
+            cref,
+        )
+        .unwrap();
         // Doctor 1 (Spain) moves to France. Its subtree: visits {1,7}
         // (v%6 == 1), prescriptions {1,7,13,19} (p%12 ∈ {1,7}).
         idx.reindex_value(
@@ -1798,8 +1889,15 @@ mod tests {
     fn key_index_flush_compacts_dead_rows() {
         let (vol, scope, _s, tree, data, _enc) = setup();
         // Key index on Visit (12 entries), levels Vis → Pre.
-        let mut idx =
-            ClimbingIndex::build_key_index(&vol, &scope, &tree, &data, TableId(1)).unwrap();
+        let mut idx = ClimbingIndex::build_key_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            TableId(1),
+        )
+        .unwrap();
         // Kill visit 0 and prescriptions {0, 12} (its referencing rows).
         // Visit remap: 0→dead, i→i-1; prescription remap: drop {0,12}.
         let vis_remap = |k: u64| -> Option<u64> { k.checked_sub(1) };
@@ -1828,6 +1926,68 @@ mod tests {
         assert_eq!(collect_ids(&mut out).unwrap(), ids(vec![4, 15]));
     }
 
+    /// A point lookup on a dense, uniformly keyed directory reads the
+    /// page its entry is on and the page its postings are on — 2 NAND
+    /// reads with the page cache off — at either level of the climb. The
+    /// 2-level directory's 24-byte entries tile 2040-byte pages exactly.
+    #[test]
+    fn point_lookup_on_a_dense_directory_reads_two_pages() {
+        let mut b = SchemaBuilder::new();
+        b.table("Item", "ItemID")
+            .column("Payload", DataType::Integer, Visibility::Hidden);
+        b.table("Ref", "RefID")
+            .foreign_key("ItemID", "Item", Visibility::Hidden);
+        let schema = b.build().unwrap();
+        let tree = TreeSchema::analyze(&schema).unwrap();
+        // Ref row i references item (i * 7) % n: one posting per key and
+        // level, the levels' ids in different orders.
+        let n = 20_000i64;
+        let mut data = Dataset::empty(&schema);
+        for i in 0..n {
+            data.push_row(TableId(0), vec![Value::Int(i), Value::Int(i * 3)])
+                .unwrap();
+        }
+        for i in 0..n {
+            data.push_row(TableId(1), vec![Value::Int(i), Value::Int(i * 7 % n)])
+                .unwrap();
+        }
+        let cfg = FlashConfig {
+            num_blocks: 64,
+            ..FlashConfig::default_2007()
+        };
+        let vol = Volume::new(Nand::new(cfg, SimClock::new()));
+        let scope = RamScope::new(&RamBudget::new(64 * 1024));
+        let cref = ColumnRef {
+            table: TableId(0),
+            column: ghostdb_types::ColumnId(1),
+        };
+        let idx = ClimbingIndex::build_value_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            &LoadEncoders::default(),
+            cref,
+        )
+        .unwrap();
+        assert_eq!(idx.levels(), &[TableId(0), TableId(1)]);
+        assert_eq!(idx.entry_count(), n as u32);
+        // Ref (i * 7⁻¹) % n references item i; 7 · 17143 ≡ 1 (mod 20000).
+        let referrer = |i: i64| (i * 17_143 % n) as u32;
+        for i in (0..n).step_by(97) {
+            let key = Value::Int(i * 3).order_key().unwrap();
+            for (level, want) in [(TableId(0), i as u32), (TableId(1), referrer(i))] {
+                let before = vol.nand().stats().page_reads;
+                let range = KeyRange { lo: key, hi: key };
+                let mut s = idx.lookup(&scope, range, level, 4096).unwrap();
+                assert_eq!(collect_ids(&mut s).unwrap(), ids(vec![want]));
+                let reads = vol.nand().stats().page_reads - before;
+                assert!(reads <= 2, "key {i}, level {level}: {reads} reads");
+            }
+        }
+    }
+
     #[test]
     fn flash_accounting_nonzero() {
         let (vol, scope, _s, tree, data, enc) = setup();
@@ -1835,7 +1995,16 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
+        let idx = ClimbingIndex::build_value_index(
+            &vol,
+            &scope,
+            &tree,
+            &data,
+            &mut WideRows::default(),
+            &enc,
+            cref,
+        )
+        .unwrap();
         assert!(idx.flash_bytes() > 0);
         assert!(idx.avg_postings(0) >= 1.0);
     }

@@ -29,6 +29,7 @@ pub use climbing::{ClimbingIndex, ClimbingManifest, PostingStream};
 pub use skt::{SktCursor, SktManifest, SktRow, SubtreeKeyTable};
 pub use sort::{ExternalSorter, SortRecord, SortedStream};
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 use ghostdb_catalog::{ColumnRef, Schema, TreeSchema, Visibility};
@@ -81,9 +82,10 @@ impl IndexSet {
         data: &Dataset,
         encoders: &LoadEncoders,
     ) -> Result<IndexSet> {
+        let mut wide = WideRows::default();
         let mut skts = BTreeMap::new();
         for t in tree.skt_roots() {
-            let skt = SubtreeKeyTable::build(volume, scope, tree, data, t)?;
+            let skt = SubtreeKeyTable::build(volume, scope, tree, data, &mut wide, t)?;
             skts.insert(t.0, skt);
         }
         let mut value_indexes = BTreeMap::new();
@@ -95,7 +97,9 @@ impl IndexSet {
             if !matches!(def.role, ghostdb_catalog::ColumnRole::Attribute) {
                 continue;
             }
-            let idx = ClimbingIndex::build_value_index(volume, scope, tree, data, encoders, cref)?;
+            let idx = ClimbingIndex::build_value_index(
+                volume, scope, tree, data, &mut wide, encoders, cref,
+            )?;
             value_indexes.insert((cref.table.0, cref.column.0), idx);
         }
         // Visible attribute columns never get climbing indexes: their
@@ -106,7 +110,7 @@ impl IndexSet {
             if tid == tree.root() {
                 continue; // root ids need no translation
             }
-            let idx = ClimbingIndex::build_key_index(volume, scope, tree, data, tid)?;
+            let idx = ClimbingIndex::build_key_index(volume, scope, tree, data, &mut wide, tid)?;
             key_indexes.insert(tid.0, idx);
         }
         Ok(IndexSet {
@@ -271,20 +275,22 @@ impl IndexSet {
             if !touched {
                 continue;
             }
-            let remap_fn: Box<dyn Fn(u64) -> Option<u64>> = match dict {
-                Some(r) => {
-                    let map = r.map.clone();
-                    // u32::MAX marks a dictionary string whose last
-                    // referencing row died: its postings drop here.
-                    Box::new(move |k| match map[k as usize] {
-                        u32::MAX => None,
-                        n => Some(n as u64),
-                    })
-                }
-                None => Box::new(Some),
+            // u32::MAX marks a dictionary string whose last referencing
+            // row died: its postings drop here.
+            let remap_fn = |k: u64| match dict {
+                Some(r) => match r.map[k as usize] {
+                    u32::MAX => None,
+                    n => Some(n as u64),
+                },
+                None => Some(k),
             };
+            // A rebuilt dictionary's codes come with the remap; an
+            // untouched one (or a fixed column) encodes as before.
             let (table, column) = (TableId(*t), ColumnId(*c));
-            let encode = |v: &Value| hidden.encode_value(table, column, v);
+            let encode = |v: &Value| match dict {
+                Some(r) => r.code_of(v),
+                None => hidden.encode_value(table, column, v),
+            };
             let map_id = |li: usize, id: u32| remaps.map_id(levels[li], id);
             idx.flush(scope, &remap_fn, &encode, &map_id)?;
         }
@@ -459,45 +465,66 @@ impl Wire for IndexSetManifest {
     }
 }
 
-/// Compute, for each row of the SKT anchor `root`, the id of every table
-/// in its subtree by following foreign keys (host-side, load-time only).
-///
-/// Returns `wide[table_id] = Some(vec of that table's id per root row)`
-/// for tables in the subtree.
-pub(crate) fn wide_rows(
-    tree: &TreeSchema,
-    data: &Dataset,
-    schema_table_count: usize,
-    root: TableId,
-) -> Result<Vec<Option<Vec<u32>>>> {
-    let n_rows = data.row_count(root);
-    let mut wide: Vec<Option<Vec<u32>>> = vec![None; schema_table_count];
-    wide[root.index()] = Some((0..n_rows as u32).collect());
-    // Walk the subtree top-down: a child's ids derive from its parent's
-    // ids through the parent's fk column.
-    let order = tree.subtree(root);
-    for &t in &order {
-        if t == root {
-            continue;
+/// The *wide rows* of the secure bulk load: for each row of a subtree
+/// root, the id of every table in its subtree, found by following
+/// foreign keys (host-side, load-time only). The tree root's are
+/// computed on first use and shared by every structure built over it —
+/// the root's SKT and every climbing index; an inner SKT anchor's serve
+/// that one SKT and are dropped with it.
+#[derive(Debug, Default)]
+pub struct WideRows {
+    /// The tree root's wide rows: `ids[table] = Some(that table's id per
+    /// root row)`.
+    root: Option<Vec<Option<Vec<u32>>>>,
+}
+
+impl WideRows {
+    /// The wide rows of `root`'s subtree, indexed by table id.
+    pub fn of(
+        &mut self,
+        tree: &TreeSchema,
+        data: &Dataset,
+        root: TableId,
+    ) -> Result<Cow<'_, [Option<Vec<u32>>]>> {
+        if root != tree.root() {
+            return Ok(Cow::Owned(Self::compute(tree, data, root)?));
         }
-        let (parent, fk_col) = tree
-            .parent(t)
-            .ok_or_else(|| GhostError::catalog("subtree table missing parent"))?;
-        let parent_ids = wide[parent.index()]
-            .as_ref()
-            .ok_or_else(|| GhostError::catalog("parent not yet resolved"))?
-            .clone();
-        let fk_values = &data.tables[parent.index()].columns[fk_col.index()];
-        let mut ids = Vec::with_capacity(parent_ids.len());
-        for &p in &parent_ids {
-            let v = fk_values[p as usize]
-                .as_int()
-                .ok_or_else(|| GhostError::corrupt("non-integer foreign key"))?;
-            ids.push(v as u32);
+        if self.root.is_none() {
+            self.root = Some(Self::compute(tree, data, root)?);
         }
-        wide[t.index()] = Some(ids);
+        Ok(Cow::Borrowed(self.root.as_deref().expect("just computed")))
     }
-    Ok(wide)
+
+    fn compute(tree: &TreeSchema, data: &Dataset, root: TableId) -> Result<Vec<Option<Vec<u32>>>> {
+        let n_rows = data.row_count(root);
+        let mut wide: Vec<Option<Vec<u32>>> = vec![None; data.tables.len()];
+        wide[root.index()] = Some((0..n_rows as u32).collect());
+        // Walk the subtree top-down: a child's ids derive from its
+        // parent's ids through the parent's fk column.
+        for t in tree.subtree(root) {
+            if t == root {
+                continue;
+            }
+            let (parent, fk_col) = tree
+                .parent(t)
+                .ok_or_else(|| GhostError::catalog("subtree table missing parent"))?;
+            let parent_ids = wide[parent.index()]
+                .as_ref()
+                .ok_or_else(|| GhostError::catalog("parent not yet resolved"))?;
+            let fk_values = &data.tables[parent.index()].columns[fk_col.index()];
+            let ids = parent_ids
+                .iter()
+                .map(|&p| {
+                    fk_values[p as usize]
+                        .as_int()
+                        .map(|v| v as u32)
+                        .ok_or_else(|| GhostError::corrupt("non-integer foreign key"))
+                })
+                .collect::<Result<Vec<u32>>>()?;
+            wide[t.index()] = Some(ids);
+        }
+        Ok(wide)
+    }
 }
 
 /// Convenience: which visibility applies to a column (tests).

@@ -170,15 +170,43 @@ impl TableDelta {
 
 /// Old→new code remap of one dict column after a flush rebuilt its
 /// dictionary: `map[old_base_code] = new_code`, plus the new code of
-/// every delta string. Index flushes use this to re-key directories.
+/// every string the column held before the flush — base, delta and
+/// overwrite alike. Index flushes use this to re-key directories and to
+/// key their RAM deltas without searching the rebuilt dictionary on
+/// flash.
 #[derive(Debug, Clone)]
 pub struct DictRemap {
     /// Table owning the rebuilt column.
     pub table: TableId,
     /// The rebuilt column.
     pub column: ColumnId,
-    /// `map[old_code] = new_code` for the base dictionary's codes.
+    /// `map[old_code] = new_code` for the base dictionary's codes;
+    /// `u32::MAX` when the string died with its last row.
     pub map: Vec<u32>,
+    /// Every string of the column before the flush, ascending (host-side
+    /// flush state, like the merge that produced it).
+    pub strings: Vec<String>,
+    /// `codes[i]` = the new code of `strings[i]`; `u32::MAX` when the
+    /// string died with its last row.
+    pub codes: Vec<u32>,
+}
+
+impl DictRemap {
+    /// New code of `value`: `Ok(None)` when the string died with its
+    /// last row and left the rebuilt dictionary.
+    pub fn code_of(&self, value: &Value) -> Result<Option<u64>> {
+        let s = value
+            .as_text()
+            .ok_or_else(|| GhostError::value("dict column expects text"))?;
+        let i = self
+            .strings
+            .binary_search_by(|m| m.as_str().cmp(s))
+            .map_err(|_| GhostError::corrupt("string missing from the flushed dictionary"))?;
+        Ok(match self.codes[i] {
+            u32::MAX => None,
+            code => Some(code as u64),
+        })
+    }
 }
 
 /// The dictionary codes the secure bulk load assigned, alive only
@@ -884,10 +912,9 @@ impl HiddenStore {
 
     /// Exact order key of `value` in the column's current key space
     /// (dictionary probes resolve on flash). `Ok(None)` when a dict
-    /// column does not contain the string — after a
-    /// [`flush`](Self::flush) that means its last referencing row died
-    /// and the rebuilt dictionary dropped it, which tells the index
-    /// flush to drop the matching delta entry too.
+    /// column does not contain the string. An index flush asks this only
+    /// for columns whose dictionary the [`flush`](Self::flush) left as
+    /// it was; a rebuilt one's codes come with its [`DictRemap`].
     pub fn encode_value(
         &self,
         table: TableId,
@@ -1281,6 +1308,8 @@ impl HiddenStore {
                             table: TableId(ti as u16),
                             column: ColumnId(ci as u16),
                             map: remap,
+                            strings: merged,
+                            codes: to_kept,
                         });
                         self.tables[ti].columns[ci] = Some(new_store);
                     }
@@ -2044,6 +2073,12 @@ mod tests {
             .find(|r| r.table.0 == t.0 && r.column.0 == purpose.0)
             .expect("purpose column rebuilt");
         assert_eq!(dict.map, vec![0, 1, u32::MAX, 2], "Flu's code dies");
+        // The remap answers for every string the column held, dead ones
+        // included, without a dictionary search.
+        let code = |s: &str| dict.code_of(&Value::Text(s.into())).unwrap();
+        assert_eq!(code("Flu"), None);
+        assert_eq!(code("Sclerosis"), Some(2));
+        assert!(dict.code_of(&Value::Text("Never".into())).is_err());
         // The dictionary no longer answers for "Flu"...
         assert!(store
             .key_range(t, purpose, ScalarOp::Eq, &Value::Text("Flu".into()))
