@@ -328,6 +328,19 @@ impl GhostDb {
                 "no valid sealed image on this part (never sealed, or both slots torn)",
             )
         })?;
+        // The older slot stands in only for a seal that never finished.
+        // A log page of a later epoch says the newer image did finish
+        // and has since become unreadable: the pages only the older
+        // image maps may have been reused, and the batches it lacks were
+        // truncated from the log, so it must not mount.
+        let opened = Wal::open(nand.clone(), loaded.epoch)?;
+        if let Some(newer) = opened.superseded_by {
+            return Err(GhostError::corrupt(format!(
+                "the newest sealed image (epoch {newer}) is unreadable, and the surviving \
+                 epoch-{} image it superseded no longer matches the part",
+                loaded.epoch
+            )));
+        }
         let meta_segments = loaded.image.metadata_segment_count();
         let l2p_entries = loaded.image.l2p.len();
         let DeviceImage {
@@ -382,7 +395,6 @@ impl GhostDb {
         // Replay the WAL: every fully-committed post-seal batch, in
         // order, through the normal apply path (validation included) —
         // but never re-logged, and without tripping the auto-flush.
-        let opened = Wal::open(nand, loaded.epoch)?;
         for rec in &opened.records {
             db.apply(Mutation::decode(rec)?, BatchOrigin::Replay)?;
         }

@@ -82,7 +82,7 @@ use ghostdb_types::{
 };
 
 use crate::sort::{ExternalSorter, SortedStream};
-use crate::WideRows;
+use crate::wide_rows;
 
 const KEY_BYTES: usize = 8;
 const PER_LEVEL_BYTES: usize = 8; // u32 offset + u32 length
@@ -148,22 +148,19 @@ impl ClimbingIndex {
         KEY_BYTES + levels * PER_LEVEL_BYTES
     }
 
-    /// Build a value index on a (hidden) attribute column; `wide` shares
-    /// the root's wide rows between the load's builders.
+    /// Build a value index on a (hidden) attribute column.
     pub fn build_value_index(
         volume: &Volume,
         scope: &RamScope,
         tree: &TreeSchema,
         data: &Dataset,
-        wide: &mut WideRows,
         encoders: &LoadEncoders,
         cref: ColumnRef,
     ) -> Result<ClimbingIndex> {
         let table = cref.table;
         let values = &data.tables[table.index()].columns[cref.column.index()];
         let keys = encoders.keys(table, cref.column, values)?;
-        let climb = Climb { tree, data, wide };
-        Self::build_from_keys(volume, scope, climb, table, &keys, false)
+        Self::build_from_keys(volume, scope, tree, data, table, &keys, false)
     }
 
     /// Build the key index on `table`'s primary key (dense directory).
@@ -172,26 +169,24 @@ impl ClimbingIndex {
         scope: &RamScope,
         tree: &TreeSchema,
         data: &Dataset,
-        wide: &mut WideRows,
         table: TableId,
     ) -> Result<ClimbingIndex> {
         let n = data.row_count(table) as u64;
         let keys: Vec<u64> = (0..n).collect();
-        let climb = Climb { tree, data, wide };
-        Self::build_from_keys(volume, scope, climb, table, &keys, true)
+        Self::build_from_keys(volume, scope, tree, data, table, &keys, true)
     }
 
     /// Shared builder: `keys[r]` is the order key of row `r` of `table`.
     fn build_from_keys(
         volume: &Volume,
         scope: &RamScope,
-        Climb { tree, data, wide }: Climb<'_>,
+        tree: &TreeSchema,
+        data: &Dataset,
         table: TableId,
         keys: &[u64],
         dense: bool,
     ) -> Result<ClimbingIndex> {
         let levels = tree.climb_path(table);
-        let root = tree.root();
         let n_levels = levels.len();
         // Host-side (secure load): one `key << 32 | id` pair per posting
         // and level, sorted, so each key's list is a run — ids ascending
@@ -201,12 +196,14 @@ impl ClimbingIndex {
         let mut runs: Vec<Vec<u128>> = Vec::with_capacity(n_levels);
         // Level 0: the table's own rows.
         runs.push((0u32..).zip(keys).map(|(r, &k)| pair(k, r)).collect());
-        // Ancestor levels come from one pass over the root's wide rows.
+        // Ancestor levels come from one pass over the root's wide rows
+        // along the climb path, released before the sort.
         if n_levels > 1 {
-            let wide = wide.of(tree, data, root)?;
+            let path: Vec<TableId> = levels.iter().rev().copied().collect();
+            let wide = wide_rows(tree, data, tree.root(), &path)?;
             let t_ids = wide[table.index()]
                 .as_ref()
-                .ok_or_else(|| GhostError::catalog("table missing from root subtree"))?;
+                .ok_or_else(|| GhostError::catalog("table missing from its climb path"))?;
             for lt in levels.iter().skip(1) {
                 // `wide[root]` is the identity, so the root level needs
                 // no case of its own.
@@ -943,14 +940,6 @@ struct DirEntry {
     slots: Vec<(u32, u32)>,
 }
 
-/// What a bulk-load build climbs through: the tree, the load's rows, and
-/// the wide rows shared between builders.
-struct Climb<'a> {
-    tree: &'a TreeSchema,
-    data: &'a Dataset,
-    wide: &'a mut WideRows,
-}
-
 /// The flush's output: directory and postings writers plus the running
 /// geometry of what they hold.
 struct DirWriter {
@@ -1441,16 +1430,7 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let idx = ClimbingIndex::build_value_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            &enc,
-            cref,
-        )
-        .unwrap();
+        let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
         assert_eq!(idx.entry_count(), 3); // France, Spain, USA
                                           // Spain = doctors 1 and 4.
         let spain = spain_key(&enc, &data);
@@ -1469,16 +1449,7 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let idx = ClimbingIndex::build_value_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            &enc,
-            cref,
-        )
-        .unwrap();
+        let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
         assert_eq!(idx.levels(), &[TableId(0), TableId(1), TableId(2)]);
         let spain = spain_key(&enc, &data);
         let range = KeyRange {
@@ -1503,16 +1474,7 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let idx = ClimbingIndex::build_value_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            &enc,
-            cref,
-        )
-        .unwrap();
+        let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
         // Range covering France + Spain (codes 0 and 1).
         let range = KeyRange { lo: 0, hi: 1 };
         let mut s = idx.lookup(&scope, range, TableId(0), 4096).unwrap();
@@ -1529,15 +1491,7 @@ mod tests {
     fn key_index_translates_up_the_tree() {
         let (vol, scope, _s, tree, data, _enc) = setup();
         // Key index on Visit: levels Vis -> Pre.
-        let idx = ClimbingIndex::build_key_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            TableId(1),
-        )
-        .unwrap();
+        let idx = ClimbingIndex::build_key_index(&vol, &scope, &tree, &data, TableId(1)).unwrap();
         assert_eq!(idx.entry_count(), 12);
         // Translate visits {0, 5} to prescriptions: p%12 in {0,5} ->
         // {0,12} and {5,17}.
@@ -1550,15 +1504,7 @@ mod tests {
     fn translate_dedups_outputs() {
         let (vol, scope, _s, tree, data, _enc) = setup();
         // Key index on Doctor: levels Doc -> Vis -> Pre.
-        let idx = ClimbingIndex::build_key_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            TableId(0),
-        )
-        .unwrap();
+        let idx = ClimbingIndex::build_key_index(&vol, &scope, &tree, &data, TableId(0)).unwrap();
         // Doctors {1,4} both map to visits {1,4,7,10}; translation must
         // dedup shared ancestors.
         let mut input = ghostdb_types::VecIdStream::new(ids(vec![1, 4]));
@@ -1573,30 +1519,14 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let vidx = ClimbingIndex::build_value_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            &enc,
-            cref,
-        )
-        .unwrap();
+        let vidx =
+            ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
         let mut input = ghostdb_types::VecIdStream::new(ids(vec![0]));
         assert!(vidx
             .translate(&scope, &mut input, TableId(2), 4096)
             .is_err());
 
-        let kidx = ClimbingIndex::build_key_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            TableId(1),
-        )
-        .unwrap();
+        let kidx = ClimbingIndex::build_key_index(&vol, &scope, &tree, &data, TableId(1)).unwrap();
         let mut input = ghostdb_types::VecIdStream::new(ids(vec![99]));
         assert!(kidx
             .translate(&scope, &mut input, TableId(2), 4096)
@@ -1606,15 +1536,7 @@ mod tests {
     #[test]
     fn level_of_rejects_off_path_tables() {
         let (vol, scope, _s, tree, data, _enc) = setup();
-        let idx = ClimbingIndex::build_key_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            TableId(1),
-        )
-        .unwrap();
+        let idx = ClimbingIndex::build_key_index(&vol, &scope, &tree, &data, TableId(1)).unwrap();
         assert!(idx.level_of(TableId(0)).is_err()); // Doctor below Visit
         assert!(idx.level_of(TableId(2)).is_ok());
     }
@@ -1626,16 +1548,7 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let idx = ClimbingIndex::build_value_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            &enc,
-            cref,
-        )
-        .unwrap();
+        let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
         let spain = spain_key(&enc, &data);
         let range = KeyRange {
             lo: spain,
@@ -1682,16 +1595,8 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let mut idx = ClimbingIndex::build_value_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            &enc,
-            cref,
-        )
-        .unwrap();
+        let mut idx =
+            ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
         // Simulate inserting visit 12 under a Spain doctor, and visit 13
         // under a doctor whose country the base dictionary lacks.
         idx.insert_delta_value(&Value::Text("Spain".into()), TableId(1), RowId(12))
@@ -1755,15 +1660,8 @@ mod tests {
     fn key_index_delta_translate_and_flush() {
         let (vol, scope, _s, tree, data, _enc) = setup();
         // Key index on Visit: levels Vis -> Pre; 12 base entries.
-        let mut idx = ClimbingIndex::build_key_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            TableId(1),
-        )
-        .unwrap();
+        let mut idx =
+            ClimbingIndex::build_key_index(&vol, &scope, &tree, &data, TableId(1)).unwrap();
         // New prescription 24 references base visit 5; new visit 12
         // creates a fresh dense entry.
         idx.insert_delta_key(5, TableId(2), RowId(24)).unwrap();
@@ -1800,16 +1698,8 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let mut idx = ClimbingIndex::build_value_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            &enc,
-            cref,
-        )
-        .unwrap();
+        let mut idx =
+            ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
         // Doctor 1 (Spain) moves to France. Its subtree: visits {1,7}
         // (v%6 == 1), prescriptions {1,7,13,19} (p%12 ∈ {1,7}).
         idx.reindex_value(
@@ -1889,15 +1779,8 @@ mod tests {
     fn key_index_flush_compacts_dead_rows() {
         let (vol, scope, _s, tree, data, _enc) = setup();
         // Key index on Visit (12 entries), levels Vis → Pre.
-        let mut idx = ClimbingIndex::build_key_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            TableId(1),
-        )
-        .unwrap();
+        let mut idx =
+            ClimbingIndex::build_key_index(&vol, &scope, &tree, &data, TableId(1)).unwrap();
         // Kill visit 0 and prescriptions {0, 12} (its referencing rows).
         // Visit remap: 0→dead, i→i-1; prescription remap: drop {0,12}.
         let vis_remap = |k: u64| -> Option<u64> { k.checked_sub(1) };
@@ -1966,7 +1849,6 @@ mod tests {
             &scope,
             &tree,
             &data,
-            &mut WideRows::default(),
             &LoadEncoders::default(),
             cref,
         )
@@ -1995,16 +1877,7 @@ mod tests {
             table: TableId(0),
             column: ghostdb_types::ColumnId(1),
         };
-        let idx = ClimbingIndex::build_value_index(
-            &vol,
-            &scope,
-            &tree,
-            &data,
-            &mut WideRows::default(),
-            &enc,
-            cref,
-        )
-        .unwrap();
+        let idx = ClimbingIndex::build_value_index(&vol, &scope, &tree, &data, &enc, cref).unwrap();
         assert!(idx.flash_bytes() > 0);
         assert!(idx.avg_postings(0) >= 1.0);
     }

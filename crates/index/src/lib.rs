@@ -29,7 +29,6 @@ pub use climbing::{ClimbingIndex, ClimbingManifest, PostingStream};
 pub use skt::{SktCursor, SktManifest, SktRow, SubtreeKeyTable};
 pub use sort::{ExternalSorter, SortRecord, SortedStream};
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 use ghostdb_catalog::{ColumnRef, Schema, TreeSchema, Visibility};
@@ -82,10 +81,9 @@ impl IndexSet {
         data: &Dataset,
         encoders: &LoadEncoders,
     ) -> Result<IndexSet> {
-        let mut wide = WideRows::default();
         let mut skts = BTreeMap::new();
         for t in tree.skt_roots() {
-            let skt = SubtreeKeyTable::build(volume, scope, tree, data, &mut wide, t)?;
+            let skt = SubtreeKeyTable::build(volume, scope, tree, data, t)?;
             skts.insert(t.0, skt);
         }
         let mut value_indexes = BTreeMap::new();
@@ -97,9 +95,7 @@ impl IndexSet {
             if !matches!(def.role, ghostdb_catalog::ColumnRole::Attribute) {
                 continue;
             }
-            let idx = ClimbingIndex::build_value_index(
-                volume, scope, tree, data, &mut wide, encoders, cref,
-            )?;
+            let idx = ClimbingIndex::build_value_index(volume, scope, tree, data, encoders, cref)?;
             value_indexes.insert((cref.table.0, cref.column.0), idx);
         }
         // Visible attribute columns never get climbing indexes: their
@@ -110,7 +106,7 @@ impl IndexSet {
             if tid == tree.root() {
                 continue; // root ids need no translation
             }
-            let idx = ClimbingIndex::build_key_index(volume, scope, tree, data, &mut wide, tid)?;
+            let idx = ClimbingIndex::build_key_index(volume, scope, tree, data, tid)?;
             key_indexes.insert(tid.0, idx);
         }
         Ok(IndexSet {
@@ -465,66 +461,46 @@ impl Wire for IndexSetManifest {
     }
 }
 
-/// The *wide rows* of the secure bulk load: for each row of a subtree
-/// root, the id of every table in its subtree, found by following
-/// foreign keys (host-side, load-time only). The tree root's are
-/// computed on first use and shared by every structure built over it —
-/// the root's SKT and every climbing index; an inner SKT anchor's serve
-/// that one SKT and are dropped with it.
-#[derive(Debug, Default)]
-pub struct WideRows {
-    /// The tree root's wide rows: `ids[table] = Some(that table's id per
-    /// root row)`.
-    root: Option<Vec<Option<Vec<u32>>>>,
-}
-
-impl WideRows {
-    /// The wide rows of `root`'s subtree, indexed by table id.
-    pub fn of(
-        &mut self,
-        tree: &TreeSchema,
-        data: &Dataset,
-        root: TableId,
-    ) -> Result<Cow<'_, [Option<Vec<u32>>]>> {
-        if root != tree.root() {
-            return Ok(Cow::Owned(Self::compute(tree, data, root)?));
+/// The *wide rows* of the secure bulk load: for each row of `root`, the
+/// id of every table in `tables` (tables of `root`'s subtree, each listed
+/// after its parent), found by following foreign keys (host-side,
+/// load-time only). `wide[table] = Some(that table's id per root row)`
+/// for the tables asked for, `None` elsewhere. An SKT asks for its whole
+/// subtree, a climbing index for its climb path only.
+pub(crate) fn wide_rows(
+    tree: &TreeSchema,
+    data: &Dataset,
+    root: TableId,
+    tables: &[TableId],
+) -> Result<Vec<Option<Vec<u32>>>> {
+    let n_rows = data.row_count(root);
+    let mut wide: Vec<Option<Vec<u32>>> = vec![None; data.tables.len()];
+    wide[root.index()] = Some((0..n_rows as u32).collect());
+    // Walk top-down: a child's ids derive from its parent's ids through
+    // the parent's fk column.
+    for &t in tables {
+        if t == root {
+            continue;
         }
-        if self.root.is_none() {
-            self.root = Some(Self::compute(tree, data, root)?);
-        }
-        Ok(Cow::Borrowed(self.root.as_deref().expect("just computed")))
+        let (parent, fk_col) = tree
+            .parent(t)
+            .ok_or_else(|| GhostError::catalog("subtree table missing parent"))?;
+        let parent_ids = wide[parent.index()]
+            .as_ref()
+            .ok_or_else(|| GhostError::catalog("parent not yet resolved"))?;
+        let fk_values = &data.tables[parent.index()].columns[fk_col.index()];
+        let ids = parent_ids
+            .iter()
+            .map(|&p| {
+                fk_values[p as usize]
+                    .as_int()
+                    .map(|v| v as u32)
+                    .ok_or_else(|| GhostError::corrupt("non-integer foreign key"))
+            })
+            .collect::<Result<Vec<u32>>>()?;
+        wide[t.index()] = Some(ids);
     }
-
-    fn compute(tree: &TreeSchema, data: &Dataset, root: TableId) -> Result<Vec<Option<Vec<u32>>>> {
-        let n_rows = data.row_count(root);
-        let mut wide: Vec<Option<Vec<u32>>> = vec![None; data.tables.len()];
-        wide[root.index()] = Some((0..n_rows as u32).collect());
-        // Walk the subtree top-down: a child's ids derive from its
-        // parent's ids through the parent's fk column.
-        for t in tree.subtree(root) {
-            if t == root {
-                continue;
-            }
-            let (parent, fk_col) = tree
-                .parent(t)
-                .ok_or_else(|| GhostError::catalog("subtree table missing parent"))?;
-            let parent_ids = wide[parent.index()]
-                .as_ref()
-                .ok_or_else(|| GhostError::catalog("parent not yet resolved"))?;
-            let fk_values = &data.tables[parent.index()].columns[fk_col.index()];
-            let ids = parent_ids
-                .iter()
-                .map(|&p| {
-                    fk_values[p as usize]
-                        .as_int()
-                        .map(|v| v as u32)
-                        .ok_or_else(|| GhostError::corrupt("non-integer foreign key"))
-                })
-                .collect::<Result<Vec<u32>>>()?;
-            wide[t.index()] = Some(ids);
-        }
-        Ok(wide)
-    }
+    Ok(wide)
 }
 
 /// Convenience: which visibility applies to a column (tests).

@@ -14,7 +14,7 @@ use ghostdb_ram::{RamScope, ScopedGuard};
 use ghostdb_storage::Dataset;
 use ghostdb_types::{GhostError, Result, RowId, TableId, Wire};
 
-use crate::WideRows;
+use crate::wide_rows;
 
 /// One SKT row: the ids of every subtree table for one root row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,11 +53,10 @@ impl SubtreeKeyTable {
         scope: &RamScope,
         tree: &TreeSchema,
         data: &Dataset,
-        wide: &mut WideRows,
         anchor: TableId,
     ) -> Result<SubtreeKeyTable> {
         let tables = tree.subtree(anchor);
-        let wide = wide.of(tree, data, anchor)?;
+        let wide = wide_rows(tree, data, anchor, &tables)?;
         let rows = data.row_count(anchor) as u32;
         let mut w = volume.writer(scope)?;
         for r in 0..rows {
@@ -412,8 +411,7 @@ mod tests {
     fn prescription_skt_matches_fk_chains() {
         let (vol, scope, tree, data, t) = setup();
         let (doc, pat, med, vis, pre) = (t[0], t[1], t[2], t[3], t[4]);
-        let skt = SubtreeKeyTable::build(&vol, &scope, &tree, &data, &mut WideRows::default(), pre)
-            .unwrap();
+        let skt = SubtreeKeyTable::build(&vol, &scope, &tree, &data, pre).unwrap();
         assert_eq!(skt.row_count(), 20);
         assert_eq!(skt.row_width(), 20); // 5 tables x 4 bytes
         let mut cur = skt.cursor(&scope).unwrap();
@@ -435,8 +433,7 @@ mod tests {
     fn visit_skt_covers_its_subtree_only() {
         let (vol, scope, tree, data, t) = setup();
         let (doc, pat, _med, vis, pre) = (t[0], t[1], t[2], t[3], t[4]);
-        let skt = SubtreeKeyTable::build(&vol, &scope, &tree, &data, &mut WideRows::default(), vis)
-            .unwrap();
+        let skt = SubtreeKeyTable::build(&vol, &scope, &tree, &data, vis).unwrap();
         assert_eq!(skt.row_count(), 8);
         assert!(skt.column_of(pre).is_err());
         let mut cur = skt.cursor(&scope).unwrap();
@@ -449,8 +446,7 @@ mod tests {
     fn ascending_access_is_page_batched() {
         let (vol, scope, tree, data, t) = setup();
         let pre = t[4];
-        let skt = SubtreeKeyTable::build(&vol, &scope, &tree, &data, &mut WideRows::default(), pre)
-            .unwrap();
+        let skt = SubtreeKeyTable::build(&vol, &scope, &tree, &data, pre).unwrap();
         let mut cur = skt.cursor(&scope).unwrap();
         for i in 0..20u32 {
             cur.fetch(RowId(i)).unwrap();
@@ -468,9 +464,7 @@ mod tests {
     fn delta_append_fetch_flush() {
         let (vol, scope, tree, data, t) = setup();
         let pre = t[4];
-        let mut skt =
-            SubtreeKeyTable::build(&vol, &scope, &tree, &data, &mut WideRows::default(), pre)
-                .unwrap();
+        let mut skt = SubtreeKeyTable::build(&vol, &scope, &tree, &data, pre).unwrap();
         // New prescription 20 -> medicine 2, visit 3 (doctor 3, patient 3).
         let order = skt.table_order().to_vec();
         let wide = |table: TableId| match table.0 {
@@ -505,9 +499,7 @@ mod tests {
     #[test]
     fn out_of_range_fetch_fails() {
         let (vol, scope, tree, data, t) = setup();
-        let skt =
-            SubtreeKeyTable::build(&vol, &scope, &tree, &data, &mut WideRows::default(), t[4])
-                .unwrap();
+        let skt = SubtreeKeyTable::build(&vol, &scope, &tree, &data, t[4]).unwrap();
         let mut cur = skt.cursor(&scope).unwrap();
         assert!(cur.fetch(RowId(20)).is_err());
     }

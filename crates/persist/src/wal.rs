@@ -16,9 +16,11 @@
 //!
 //! `seq` is the page's position in the region (self-describing), `used`
 //! the payload bytes carried, `start` whether a record begins at payload
-//! offset 0, and `crc` covers epoch..payload. Pages whose epoch differs
-//! from the mounted image's are stale leftovers of an interrupted
-//! truncation and are ignored. Records carry their own length, sequence
+//! offset 0, and `crc` covers epoch..payload. Pages of an earlier epoch
+//! than the mounted image's are stale leftovers of an interrupted
+//! truncation and are ignored; a page of a later epoch means the
+//! mounted image is not the newest one sealed
+//! ([`WalOpen::superseded_by`]). Records carry their own length, sequence
 //! number, and CRC on top, so a record spanning pages is only replayed
 //! if every page of it survived — and a record that *rotted away* in
 //! the middle of the log ends replay at the last good record (the
@@ -72,6 +74,11 @@ pub struct WalOpen {
     /// everything after it was discarded as dependent on lost state.
     /// The caller must re-seal so the stale tail dies with its epoch.
     pub truncated: bool,
+    /// The latest epoch of any intact page logged under a *later* epoch
+    /// than the mounted one. A log restarts under an epoch only once
+    /// that epoch's image is durable, so such a page proves the mounted
+    /// image was superseded.
+    pub superseded_by: Option<u64>,
 }
 
 impl Wal {
@@ -120,6 +127,7 @@ impl Wal {
         let mut in_record = false;
         let mut halted = false;
         let mut last_programmed: Option<usize> = None;
+        let mut superseded_by: Option<u64> = None;
         let mut bytes = 0u64;
         for idx in 0..wal.region_pages() {
             let addr = wal.page_addr(idx);
@@ -135,9 +143,12 @@ impl Wal {
             let parsed = if wal.nand.verify(&mut page) == Verdict::Uncorrectable {
                 None // rotted past the codeword's budget: treat as torn
             } else {
-                parse_page(&page[..wal.nand.payload_size()], epoch, idx as u32)
+                parse_page(&page[..wal.nand.payload_size()], idx as u32)
             };
-            let Some((start, payload)) = parsed else {
+            if let Some((page_epoch, ..)) = parsed.filter(|&(e, ..)| e > epoch) {
+                superseded_by = superseded_by.max(Some(page_epoch));
+            }
+            let Some((_, start, payload)) = parsed.filter(|&(e, ..)| e == epoch) else {
                 // Torn or stale page: any record running through it died.
                 in_record = false;
                 pending.clear();
@@ -183,6 +194,7 @@ impl Wal {
             wal,
             records,
             truncated: halted,
+            superseded_by,
         })
     }
 
@@ -350,10 +362,10 @@ macro_rules! encode_into {
 
 encode_into!(u32, u64);
 
-/// Validate one page against the mounted epoch and its own position;
-/// returns `(starts_record, payload)` for valid pages. `page` excludes
-/// the codeword tail (already verified by the caller).
-fn parse_page(page: &[u8], epoch: u64, seq: u32) -> Option<(bool, &[u8])> {
+/// Validate one page against its own position; returns `(epoch,
+/// starts_record, payload)` for intact pages. `page` excludes the
+/// codeword tail (already verified by the caller).
+fn parse_page(page: &[u8], seq: u32) -> Option<(u64, bool, &[u8])> {
     if page.len() < PAGE_HEADER {
         return None;
     }
@@ -363,7 +375,7 @@ fn parse_page(page: &[u8], epoch: u64, seq: u32) -> Option<(bool, &[u8])> {
     let used = u32::from_le_bytes(page[16..20].try_into().expect("4B")) as usize;
     let start = page[20];
     let crc = u32::from_le_bytes(page[21..25].try_into().expect("4B"));
-    if magic != MAGIC || page_epoch != epoch || page_seq != seq || start > 1 {
+    if magic != MAGIC || page_seq != seq || start > 1 {
         return None;
     }
     if used > page.len() - PAGE_HEADER {
@@ -375,7 +387,7 @@ fn parse_page(page: &[u8], epoch: u64, seq: u32) -> Option<(bool, &[u8])> {
     if crc32(&covered) != crc {
         return None;
     }
-    Some((start == 1, payload))
+    Some((page_epoch, start == 1, payload))
 }
 
 #[cfg(test)]
@@ -451,6 +463,19 @@ mod tests {
         wal.append(b"new-epoch").unwrap();
         let reopened = Wal::open(n, 2).unwrap();
         assert_eq!(reopened.records, vec![b"new-epoch".to_vec()]);
+        assert_eq!(reopened.superseded_by, None, "older pages are stale");
+    }
+
+    #[test]
+    fn a_later_epoch_page_reports_the_mounted_one_superseded() {
+        let n = nand();
+        let mut wal = Wal::new(n.clone(), 4);
+        wal.append(b"after-seal-4").unwrap();
+        // Opened under an older image's epoch: nothing replays, and the
+        // log says which epoch superseded it.
+        let opened = Wal::open(n, 3).unwrap();
+        assert!(opened.records.is_empty());
+        assert_eq!(opened.superseded_by, Some(4));
     }
 
     #[test]

@@ -336,6 +336,39 @@ fn power_cut_plus_rotted_pages_still_recovers() {
     }
 }
 
+/// The older metadata slot stands in only for a seal that never
+/// finished. Once the newer image is durable, the pages that only the
+/// older one maps are released for reuse and the WAL moves on to the
+/// newer epoch; if the newer image then rots past repair, the mount
+/// must refuse rather than serve the older image over pages that may
+/// hold other data by now, and without the batches that image missed.
+#[test]
+fn rotted_newest_image_does_not_fall_back_to_a_superseded_one() {
+    use ghostdb_flash::PageAddr;
+    let mut db = build_sealed();
+    run_workload(&mut db).unwrap();
+    let epoch = db.sealed_epoch().unwrap();
+    let nand = db.nand().clone();
+    drop(db);
+    // Two flips in the newest slot's header page: past the codeword's
+    // one-bit budget, so that slot reads as invalid.
+    let cfg = nand.config().clone();
+    let slot_pages = cfg.meta_slot_blocks * cfg.pages_per_block;
+    let header = PageAddr(((epoch % 2) as usize * slot_pages) as u32);
+    nand.corrupt_page(header, 3).unwrap();
+    nand.corrupt_page(header, 77).unwrap();
+    match GhostDb::mount(nand, config()) {
+        Ok(db) => panic!(
+            "mounted epoch {:?} although epoch {epoch} had superseded it",
+            db.sealed_epoch()
+        ),
+        Err(e) => assert!(
+            e.to_string().contains("superseded"),
+            "want the superseded-image diagnostic, got: {e}"
+        ),
+    }
+}
+
 /// Sanity: the uninterrupted workload, remounted, equals the full
 /// prefix.
 #[test]

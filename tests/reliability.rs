@@ -281,16 +281,14 @@ fn flash_fingerprint(db: &GhostDb) -> (u64, FlashStats, GcStats, ReliabilityStat
     )
 }
 
-/// Golden run: seal → armed rot + grown-bad blocks under WAL-logged DML
+/// Golden run: armed rot + grown-bad blocks under DML, queries and
+/// merging flushes on a not-yet-sealed volume → seal → WAL-logged DML
 /// and re-sealing flushes → torn power cut inside a flush → rot in the
 /// unplugged metadata and WAL pages → mount → replay. The simulated
 /// clock and every flash counter are pinned to the last digit:
-/// evacuation, retirement, and the image / WAL codeword paths all run
-/// here, and none of them is visible to the benchmark, which never arms
-/// a fault. Scrub and GC migration no longer fire: with the directory
-/// and temp searches reading fewer pages, read disturb never pushes a
-/// page to the scrub threshold (with rot disarmed, the run programs and
-/// erases exactly what it did under the binary searches).
+/// GC migration, scrub, evacuation, retirement, and the image / WAL
+/// codeword paths all run here, and none of them is visible to the
+/// benchmark, which never arms a fault.
 #[test]
 fn seal_rot_cut_mount_replay_is_pinned() {
     use ghostdb_flash::PageState;
@@ -319,10 +317,9 @@ fn seal_rot_cut_mount_replay_is_pinned() {
     // the scrub pass riding on it) runs, with the page cache off so
     // every fault pays — and rots — the NAND.
     let mut cfg = config();
-    cfg.flash.num_blocks = 32;
+    cfg.flash.num_blocks = 30;
     cfg.flash.page_cache_pages = 0;
     let mut db = GhostDb::create(DDL, cfg.clone(), &base).unwrap();
-    db.seal().unwrap();
     let nand = db.nand().clone();
     nand.arm_bit_rot(77, 0.02, 31);
     nand.arm_program_failures(78, 0.004);
@@ -330,6 +327,12 @@ fn seal_rot_cut_mount_replay_is_pinned() {
 
     let mut children = 24i64;
     for round in 0..8i64 {
+        // GC migrates, and the scrub rewrites, only pages no image pins,
+        // and a re-sealing flush pins everything it writes: the rounds
+        // before the seal are where both move pages the queries rotted.
+        if round == 5 {
+            db.seal().unwrap();
+        }
         let batch: Vec<_> = (0..3)
             .map(|k| child_row(children + k, &mut next, 8))
             .collect();
@@ -355,21 +358,26 @@ fn seal_rot_cut_mount_replay_is_pinned() {
     assert_eq!(
         flash_fingerprint(&db),
         (
-            290_466_913,
+            321_306_451,
             FlashStats {
-                page_reads: 1110,
-                bytes_read: 284_160,
-                page_programs: 282,
-                bytes_programmed: 72_192,
-                block_erases: 36,
+                page_reads: 1239,
+                bytes_read: 317_184,
+                page_programs: 319,
+                bytes_programmed: 81_664,
+                block_erases: 38,
             },
-            GcStats::default(),
+            GcStats {
+                passes: 9,
+                blocks_reclaimed: 16,
+                pages_migrated: 67,
+                pages_reclaimed: 64,
+            },
             ReliabilityStats {
-                corrected: 561,
+                corrected: 652,
                 uncorrectable: 0,
-                retired_blocks: 1,
+                retired_blocks: 2,
                 spare_blocks: 64,
-                scrubbed_pages: 0,
+                scrubbed_pages: 1,
             },
         ),
         "before the cut"
@@ -409,19 +417,19 @@ fn seal_rot_cut_mount_replay_is_pinned() {
     assert_eq!(
         flash_fingerprint(&db),
         (
-            305_806_376,
+            337_319_978,
             FlashStats {
-                page_reads: 1318,
-                bytes_read: 337_408,
-                page_programs: 294,
-                bytes_programmed: 75_264,
-                block_erases: 36,
+                page_reads: 1449,
+                bytes_read: 370_944,
+                page_programs: 332,
+                bytes_programmed: 84_992,
+                block_erases: 38,
             },
             GcStats::default(),
             ReliabilityStats {
-                corrected: 61,
+                corrected: 58,
                 uncorrectable: 0,
-                retired_blocks: 1,
+                retired_blocks: 2,
                 spare_blocks: 64,
                 scrubbed_pages: 0,
             },
