@@ -160,7 +160,7 @@ fn exp_d2b(scale: usize) -> Result<()> {
     let sql = paper_query(f.mid_date());
     let spec = f.db.bind(&sql)?;
     let p2 = f.db.plan_post(&spec);
-    println!("\n{}", p2.describe(f.db.schema(), &spec));
+    println!("\n{}", p2.describe(f.db.schema(), f.db.tree(), &spec));
     let out = f.db.query_with_plan(&sql, &p2)?;
     println!("{}", out.report.render());
     let csv: Vec<String> = out

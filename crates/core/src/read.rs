@@ -304,7 +304,7 @@ impl ReadState {
         let mut out = format!("{} candidate plan(s)\n", plans.len());
         for cp in plans.iter().take(8) {
             let cards = cost.cardinalities(&spec, &cp.plan);
-            let tree = plan_nodes(&self.schema, &spec, &cp.plan, Some(&cards));
+            let tree = plan_nodes(&self.schema, &self.tree, &spec, &cp.plan, Some(&cards));
             out.push_str(&format!(
                 "-- estimated {}\n{}",
                 format_ns(cp.est_ns as u64),
@@ -338,7 +338,7 @@ impl ReadState {
     ) -> Result<(PlanNode, QueryOutcome)> {
         let out = self.run(spec, plan)?;
         let cards = self.cost_model().cardinalities(spec, plan);
-        let mut tree = plan_nodes(&self.schema, spec, plan, Some(&cards));
+        let mut tree = plan_nodes(&self.schema, &self.tree, spec, plan, Some(&cards));
         attach_actuals(&mut tree, &out.report);
         Ok((tree, out))
     }

@@ -8,7 +8,7 @@
 //! builder produces the shape, the two outputs can never drift apart —
 //! `tests/observability.rs` pins that with a golden skeleton test.
 
-use ghostdb_catalog::Schema;
+use ghostdb_catalog::{Schema, TreeSchema};
 
 use crate::cost::PlanCardinalities;
 use crate::plan::{Plan, PostStep, Source};
@@ -85,10 +85,12 @@ fn pred_str(schema: &Schema, spec: &QuerySpec, i: usize) -> String {
 
 /// Build the operator tree for `plan`: `project` at the root, post
 /// steps as a chain beneath it (last applied nearest the root), then
-/// the SKT access fed by the merged sources. Pass `cards` to annotate
-/// estimated cardinalities; `None` leaves the shape bare.
+/// the SKT access (or `anchor-rows`, per [`Plan::reads_skt`]) fed by
+/// the merged sources. Pass `cards` to annotate estimated
+/// cardinalities; `None` leaves the shape bare.
 pub fn plan_nodes(
     schema: &Schema,
+    tree: &TreeSchema,
     spec: &QuerySpec,
     plan: &Plan,
     cards: Option<&PlanCardinalities>,
@@ -146,10 +148,10 @@ pub fn plan_nodes(
         merge
     };
 
-    // SKT access (leaf anchors stream their own rows instead).
-    let has_children = schema.table(spec.anchor).foreign_keys().next().is_some();
+    // SKT access (a plan that reads no other table streams the anchor's
+    // own ids instead).
     let mut node = PlanNode::new(
-        if has_children {
+        if plan.reads_skt(spec, tree) {
             "access-skt"
         } else {
             "anchor-rows"

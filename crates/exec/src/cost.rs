@@ -45,7 +45,6 @@ pub struct PlanCardinalities {
 #[derive(Debug, Clone)]
 pub struct CostModel<'a> {
     schema: &'a Schema,
-    #[allow(dead_code)]
     tree: &'a TreeSchema,
     stats: &'a SchemaStats,
     config: &'a DeviceConfig,
@@ -354,17 +353,20 @@ impl<'a> CostModel<'a> {
         pre_sel = (pre_sel * corr_pre).clamp(1e-9, 1.0);
         let candidates = (anchor_rows * pre_sel).max(0.0);
 
-        // SKT access: ascending candidates; page-batched.
-        let skt_tables = self.schema.tables().len().min(spec.tables.len().max(1)) as f64;
-        let row_w = skt_tables.max(1.0) * 4.0;
-        let skt_pages = anchor_rows * row_w / self.page();
-        let dense_cost = self.seq_read(anchor_rows * row_w);
-        let sparse_cost = candidates * self.rand_read(row_w as usize);
-        cost += if candidates >= skt_pages {
-            dense_cost
-        } else {
-            sparse_cost
-        };
+        // SKT access: ascending candidates; page-batched. A row holds one
+        // id per table of the anchor's subtree. Charged only when the
+        // executor opens the SKT; otherwise the candidates are the rows.
+        if plan.reads_skt(spec, self.tree) {
+            let row_w = self.tree.subtree(spec.anchor).len() as f64 * 4.0;
+            let skt_pages = anchor_rows * row_w / self.page();
+            let dense_cost = self.seq_read(anchor_rows * row_w);
+            let sparse_cost = candidates * self.rand_read(row_w as usize);
+            cost += if candidates >= skt_pages {
+                dense_cost
+            } else {
+                sparse_cost
+            };
+        }
         cost += self.cpu(candidates);
 
         // Post steps.

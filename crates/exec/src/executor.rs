@@ -22,7 +22,11 @@
 //!    fixed-width posting lists on flash instead of pulling one id per
 //!    virtual call, and the CPU clock is charged once per output block.
 //! 4. **SKT access** — candidate blocks fill a RAM-budget-sized batch of
-//!    Subtree Key Table rows (page-batched fetches).
+//!    Subtree Key Table rows (page-batched fetches). The SKT is read only
+//!    when the plan reaches another table ([`Plan::reads_skt`]): a plan
+//!    whose projections and post steps name only the anchor's columns
+//!    batches the candidate ids themselves as one-column rows
+//!    (`anchor-rows`), as a leaf anchor always does.
 //! 5. **Post steps** — Bloom probes run over the whole batch
 //!    ([`BlockedBloomFilter::probe_batch`]: one cache-line touch per
 //!    probe, one clock charge per batch), positives are confirmed
@@ -44,7 +48,7 @@
 //! bodies); both modes must produce byte-identical results and identical
 //! tuple counts — `tests/properties.rs` proves it on random plans.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -276,8 +280,8 @@ pub fn execute(
     // ---- Prologue: fetch visible columns into flash temps ----
     // One visible predicate per table may restrict that table's fetches
     // (any conjunct is a sound filter).
-    let filter_pred_of: HashMap<TableId, &Predicate> = {
-        let mut m = HashMap::new();
+    let filter_pred_of: BTreeMap<TableId, &Predicate> = {
+        let mut m = BTreeMap::new();
         for p in &preds {
             if !ctx.schema.is_hidden(p.column) {
                 m.entry(p.column.table).or_insert(p);
@@ -330,8 +334,11 @@ pub fn execute(
         Ok((temp, stats))
     };
 
-    // Projection temps, keyed by column.
-    let mut proj_temps: HashMap<(u16, u16), VisibleTemp> = HashMap::new();
+    // Projection temps, keyed by column. Ordered maps: the temps are
+    // probed and freed in key order, and the free order decides where
+    // later pages land, so a hash map's per-process seed would make the
+    // simulated clock vary between runs.
+    let mut proj_temps: BTreeMap<(u16, u16), VisibleTemp> = BTreeMap::new();
     for cref in &spec.projections {
         let def = ctx.schema.column_def(*cref);
         if def.visibility.is_hidden() || matches!(def.role, ColumnRole::PrimaryKey) {
@@ -536,10 +543,10 @@ pub fn execute(
         meter: merge_meter.clone(),
     };
 
-    // ---- SKT cursor (or pseudo rows for leaf anchors) ----
+    // ---- SKT cursor (or the bare anchor ids when the plan reads no
+    // other table) ----
     let skt_scope = RamScope::new(ctx.ram);
-    let has_children = !ctx.tree.children(spec.anchor).is_empty();
-    let skt = if has_children {
+    let skt = if plan.reads_skt(spec, ctx.tree) {
         Some(ctx.indexes.skt(spec.anchor)?)
     } else {
         None
@@ -552,7 +559,9 @@ pub fn execute(
         match skt {
             Some(s) => s.column_of(table),
             None if table == spec.anchor => Ok(0),
-            None => Err(GhostError::exec("leaf anchor cannot reach other tables")),
+            None => Err(GhostError::exec(
+                "a plan without the SKT cannot reach other tables",
+            )),
         }
     };
 
@@ -614,7 +623,7 @@ pub fn execute(
 
     // Probers over all temps.
     let probe_scope = RamScope::new(ctx.ram);
-    let mut proj_probers: HashMap<(u16, u16), TempProber<'_>> = HashMap::new();
+    let mut proj_probers: BTreeMap<(u16, u16), TempProber<'_>> = BTreeMap::new();
     for (key, temp) in &proj_temps {
         proj_probers.insert(*key, temp.prober(&probe_scope)?);
     }
@@ -666,7 +675,7 @@ pub fn execute(
     let mut probe_hits: Vec<bool> = Vec::new();
     let mut exhausted = false;
     while !exhausted {
-        // Phase 1: fill the batch with SKT rows.
+        // Phase 1: fill the batch with SKT rows (or bare anchor ids).
         batch.clear();
         let mut batch_rows = 0usize;
         while batch_rows < batch_cap {
@@ -899,7 +908,7 @@ pub fn execute(
         skt_attrs.push(("live_drops", entered.saturating_sub(survived)));
     }
     report_ops.push(OpStats {
-        name: if has_children {
+        name: if skt.is_some() {
             "access-skt"
         } else {
             "anchor-rows"
@@ -958,7 +967,7 @@ pub fn execute(
     }
 
     drop(proj_probers);
-    for (_, temp) in proj_temps.into_iter() {
+    for temp in proj_temps.into_values() {
         temp.free()?;
     }
     for temp in own_verify_temps.into_iter() {

@@ -1,6 +1,6 @@
 //! Physical plans: the paper's Pre-/Post-/Cross-filtering alternatives.
 
-use ghostdb_catalog::Schema;
+use ghostdb_catalog::{Schema, TreeSchema};
 use ghostdb_types::{GhostError, Result, TableId};
 
 use crate::query::QuerySpec;
@@ -177,11 +177,27 @@ impl Plan {
         Ok(())
     }
 
+    /// True when the plan must read the anchor's Subtree Key Table: the
+    /// anchor has children and a projection or a post step names a
+    /// column of a table other than the anchor. Sources already emit
+    /// anchor ids, and SKT row *i* holds `i` in its root column, so a
+    /// plan that touches only the anchor's own columns gets nothing from
+    /// the SKT. The executor, `EXPLAIN` and the cost model all ask here.
+    pub fn reads_skt(&self, spec: &QuerySpec, tree: &TreeSchema) -> bool {
+        let elsewhere = |t: TableId| t != spec.anchor;
+        !tree.children(spec.anchor).is_empty()
+            && (spec.projections.iter().any(|c| elsewhere(c.table))
+                || self
+                    .post
+                    .iter()
+                    .any(|s| elsewhere(spec.predicates[s.pred()].column.table)))
+    }
+
     /// Multi-line human description (the demo's plan view): the same
     /// operator tree `EXPLAIN ANALYZE` renders, without annotations.
-    pub fn describe(&self, schema: &Schema, spec: &QuerySpec) -> String {
-        let tree = crate::analyze::plan_nodes(schema, spec, self, None);
-        crate::analyze::render_plan(&self.label, &tree)
+    pub fn describe(&self, schema: &Schema, tree: &TreeSchema, spec: &QuerySpec) -> String {
+        let nodes = crate::analyze::plan_nodes(schema, tree, spec, self, None);
+        crate::analyze::render_plan(&self.label, &nodes)
     }
 }
 
@@ -230,9 +246,52 @@ mod tests {
             label: "P2".into(),
         };
         plan.validate(&schema, &spec).unwrap();
-        let d = plan.describe(&schema, &spec);
+        let d = plan.describe(&schema, &TreeSchema::analyze(&schema).unwrap(), &spec);
         assert!(d.contains("bloom-probe"));
         assert!(d.contains("HIDDEN"));
+    }
+
+    #[test]
+    fn skt_is_read_only_when_the_plan_reaches_another_table() {
+        let (schema, spec) = setup();
+        let tree = TreeSchema::analyze(&schema).unwrap();
+        let vis = schema.resolve_table("Visit").unwrap();
+        let pre = schema.resolve_table("Prescription").unwrap();
+        assert_eq!(spec.anchor, pre);
+        let plan = |post: Vec<PostStep>| Plan {
+            sources: vec![Source::HiddenIndexClimb { pred: 1 }],
+            post,
+            label: "p".into(),
+        };
+        // Sources already yield anchor ids: both predicates pre-filtered
+        // and nothing projected leaves the SKT closed.
+        let pre_only = Plan {
+            sources: vec![
+                Source::HiddenIndexClimb { pred: 1 },
+                Source::VisibleDelegate { pred: 0 },
+            ],
+            post: vec![],
+            label: "pre".into(),
+        };
+        assert!(!pre_only.reads_skt(&spec, &tree));
+        // A post step on Visit needs each row's VisID.
+        assert!(plan(vec![PostStep::BloomVisible { pred: 0 }]).reads_skt(&spec, &tree));
+        // So does a projected Visit column...
+        let mut wide = spec.clone();
+        wide.projections = vec![schema.resolve_column(vis, "Date").unwrap()];
+        assert!(pre_only.reads_skt(&wide, &tree));
+        // ...but not the anchor's own key or foreign-key columns.
+        let mut own = spec.clone();
+        own.projections = vec![
+            schema.resolve_column(pre, "PreID").unwrap(),
+            schema.resolve_column(pre, "VisID").unwrap(),
+        ];
+        assert!(!pre_only.reads_skt(&own, &tree));
+        // A leaf anchor has no SKT, whatever the plan.
+        let mut leaf = spec.clone();
+        leaf.anchor = vis;
+        leaf.projections = vec![schema.resolve_column(vis, "Date").unwrap()];
+        assert!(!plan(vec![PostStep::BloomVisible { pred: 0 }]).reads_skt(&leaf, &tree));
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! byte `i * width`, so a sorted id stream turns into near-sequential
 //! page reads and "reaching any other table in the path... in a single
 //! step" costs one partial page read.
+//!
+//! Reaching another table is the SKT's only use: row *i* holds *i* in
+//! its root column, so a plan that reads no column outside the anchor
+//! never opens it (`ghostdb_exec::Plan::reads_skt`) and batches the
+//! candidate ids themselves.
 
 use ghostdb_catalog::TreeSchema;
 use ghostdb_flash::{Segment, SegmentManifest, Volume};

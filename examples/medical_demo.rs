@@ -37,12 +37,12 @@ fn main() -> Result<()> {
     let p2 = db.plan_post(&spec);
 
     println!("--- P1: Pre-filtering ---");
-    println!("{}", p1.describe(db.schema(), &spec));
+    println!("{}", p1.describe(db.schema(), db.tree(), &spec));
     let r1 = db.run(&spec, &p1)?;
     println!("{}", r1.report.render());
 
     println!("--- P2: Post-filtering (Figure 5) ---");
-    println!("{}", p2.describe(db.schema(), &spec));
+    println!("{}", p2.describe(db.schema(), db.tree(), &spec));
     let r2 = db.run(&spec, &p2)?;
     println!("{}", r2.report.render());
 

@@ -7,8 +7,8 @@ use ghostdb_flash::{FlashStats, GcStats, Nand, PageAddr, PageState, ReliabilityS
 use ghostdb_ram::{RamBudget, RamScope};
 use ghostdb_types::{DeviceConfig, FlashConfig, SimClock, TableId};
 use ghostdb_workload::{
-    generate_medical, generate_scale, selectivity_query, MedicalConfig, ScaleConfig, MEDICAL_DDL,
-    SCALE_DDL,
+    game_queries, generate_medical, generate_scale, paper_query, selectivity_query, MedicalConfig,
+    ScaleConfig, MEDICAL_DDL, SCALE_DDL,
 };
 
 #[test]
@@ -287,6 +287,44 @@ fn simulated_time_is_deterministic() {
     assert_eq!(db1.nand().stats(), db2.nand().stats());
     assert_eq!(db1.nand().wear_snapshot(), db2.nand().wear_snapshot());
     assert_eq!(db1.volume().usage(), db2.volume().usage());
+}
+
+/// The executor frees a query's flash temps in a fixed order. A free
+/// that kills a whole erase block erases it and empties its page-cache
+/// slots, so the free order decides which slots the next faults fill
+/// and, through the clock hand, what later faults hit. An order that
+/// varied per run (a hash map's per-process seed) moved the simulated
+/// clock between runs. The paper query fetches two projection temps;
+/// four-page erase blocks give each temp blocks of its own, and the
+/// anchor-only queries between its repeats fault through the cache.
+#[test]
+fn temp_free_order_keeps_simulated_time_deterministic() {
+    let cfg = MedicalConfig::scaled(12_000);
+    let data = generate_medical(&cfg).unwrap();
+    let mid = ghostdb_types::Date(cfg.date_start.0 + (cfg.date_span_days / 2) as i32);
+    let mut sqls = vec![paper_query(mid)];
+    sqls.extend(
+        game_queries(cfg.date_start, cfg.date_span_days)
+            .into_iter()
+            .take(4)
+            .map(|q| q.sql),
+    );
+    let mut device = DeviceConfig::default_2007();
+    device.flash.pages_per_block = 4;
+    device.flash.num_blocks = 4096;
+    let run = || {
+        let db = ghostdb::GhostDb::create(MEDICAL_DDL, device.clone(), &data).unwrap();
+        for _ in 0..12 {
+            for sql in &sqls {
+                db.query(sql).unwrap();
+            }
+        }
+        (db.clock().now(), db.nand().stats())
+    };
+    let first = run();
+    for _ in 0..2 {
+        assert_eq!(run(), first);
+    }
 }
 
 /// What a load left on the part: the simulated clock (ns), the NAND
